@@ -9,7 +9,6 @@
 #include "common/thread_pool.hpp"
 #include "il/trace_collector.hpp"
 #include "npu/compiled_model.hpp"
-#include "npu/inference_backend.hpp"
 #include "sim/system_sim.hpp"
 #include "thermal/rc_network.hpp"
 
@@ -187,9 +186,9 @@ void BM_ScenarioTraceCollection(benchmark::State& state) {
 }
 BENCHMARK(BM_ScenarioTraceCollection)->Arg(0)->Arg(1);
 
-// The blocked transposed-B matmul on the policy network's layer shapes
-// (21->64x4->8) at inference batch sizes, with the workspace reused the
-// way Mlp::predict_into reuses it.
+// The blocked transposed-B matmul of the scalar reference
+// (nn::dense_forward_reference) on a policy-network hidden layer (64x64)
+// at inference batch sizes, with its transpose scratch reused.
 void BM_MatmulBlocked(benchmark::State& state) {
   const auto batch_rows = static_cast<std::size_t>(state.range(0));
   const nn::Matrix a(batch_rows, 64, 0.3f);
@@ -205,10 +204,11 @@ void BM_MatmulBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_MatmulBlocked)->Arg(1)->Arg(16)->Arg(64)->Arg(256);
 
-// Fused fp16 dense forward (the inference backends' kernel) vs the scalar
+// Fused fp16 dense forward (the production kernel) vs the scalar
 // reference, over ragged shapes with tail rows/cols. Args: {rows, in, out,
-// engine} with engine 0 = scalar reference path, 1 = CpuSimdBackend.
-// Outputs are bit-identical; only throughput differs.
+// engine} with engine 0 = nn::dense_forward_reference, 1 =
+// CompiledModel::infer_batched_into. Outputs are bit-identical; only
+// throughput differs.
 void BM_Fp16Gemm(benchmark::State& state) {
   const auto rows = static_cast<std::size_t>(state.range(0));
   const auto in = static_cast<std::size_t>(state.range(1));
@@ -222,17 +222,21 @@ void BM_Fp16Gemm(benchmark::State& state) {
   network.init(17);
   const npu::CompiledModel compiled = npu::CompiledModel::compile(network);
 
+  const nn::DenseLayer& layer = compiled.network().layers().front();
+
   nn::Matrix input(rows, in, 0.3f);
   nn::Matrix out;
   nn::InferenceWorkspace ws;
-  npu::CpuSimdBackend backend;
+  std::vector<float> scratch;
   for (auto _ : state) {
     if (simd) {
-      backend.infer(compiled, input, out, ws);
-    } else {
       compiled.infer_batched_into(input, out, ws);
+    } else {
+      nn::dense_forward_reference(input, layer.weights(), layer.bias(), out,
+                                  scratch, /*relu=*/false);
     }
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));

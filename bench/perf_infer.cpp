@@ -1,21 +1,24 @@
-// Inference-engine perf gate: batch-size x backend latency/throughput
-// curves for the paper's policy net (Fig. 12 shape), plus ragged-shape
-// fp16 GEMM micro-records. Writes BENCH_npu.json (override with --json).
+// Inference perf gate: the production dense kernel against the scalar
+// reference at each batch size for the paper's policy net (Fig. 12 shape),
+// plus ragged-shape fp16 GEMM micro-records. Writes BENCH_npu.json
+// (override with --json).
 //
-//   perf_infer [--smoke] [--jobs N] [--json FILE] [--backend npu|cpu_simd|auto]
+//   perf_infer [--smoke] [--jobs N] [--json FILE]
 //
 // Measured curves (single-threaded, per inference call):
-//   infer_scalar_b<N>    scalar reference engine (CompiledModel path)
-//   infer_cpu_simd_b<N>  fused fp16 SIMD engine with cached widened weights
-//   infer_auto_b<N>      load-aware dispatch (scalar small, SIMD large)
+//   infer_scalar_b<N>    scalar reference (nn::dense_forward_reference per
+//                        layer of the compiled model)
+//   infer_simd_b<N>      production path (CompiledModel::infer_batched_into,
+//                        i.e. nn::dense_forward_simd)
 //   gemm_<in>x<out>_b<N> one fused dense layer vs the scalar reference
 // Modeled curve (per-layer NPU cost model, not wall clock):
 //   npu_model_b<N>       "speedup" = per-row amortization vs batch 1
 //
 // Every measured record's speedup_vs_serial is vs the scalar reference at
 // the same batch size; rate_per_s is inferred rows per second. The binary
-// also cross-checks that all engines produce bit-identical outputs and
-// exits non-zero on any mismatch, so CI can use --smoke as a gate.
+// also cross-checks that the production path's outputs are bit-identical
+// to the reference and exits non-zero on any mismatch, so CI can use
+// --smoke as a gate.
 
 #include <algorithm>
 #include <cstdio>
@@ -24,7 +27,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "npu/inference_backend.hpp"
+#include "npu/compiled_model.hpp"
 #include "npu/npu_cost_model.hpp"
 #include "support/bench_support.hpp"
 
@@ -75,6 +78,23 @@ double time_call_ms(Fn&& fn, double target_ms) {
   return best / static_cast<double>(reps);
 }
 
+/// Scalar reference forward over every layer of `network`: ReLU on hidden
+/// layers, linear output, caller-owned buffers reused across calls.
+void reference_infer(const nn::Mlp& network, const nn::Matrix& input,
+                     nn::Matrix& out, nn::InferenceWorkspace& ws,
+                     std::vector<float>& bt) {
+  const std::vector<nn::DenseLayer>& layers = network.layers();
+  const nn::Matrix* x = &input;
+  for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
+    nn::Matrix& activation = (i % 2 == 0) ? ws.a : ws.b;
+    nn::dense_forward_reference(*x, layers[i].weights(), layers[i].bias(),
+                                activation, bt, /*relu=*/true);
+    x = &activation;
+  }
+  nn::dense_forward_reference(*x, layers.back().weights(),
+                              layers.back().bias(), out, bt, /*relu=*/false);
+}
+
 bool bit_identical(const nn::Matrix& a, const nn::Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
@@ -82,22 +102,12 @@ bool bit_identical(const nn::Matrix& a, const nn::Matrix& b) {
 
 int run(const InferBenchConfig& bench, const BenchOptions& options) {
   print_header("perf_infer",
-               "batch-size x backend inference curves (policy net "
-               "21-64-64-64-64-8)");
+               "batch-size inference curves, production kernel vs scalar "
+               "reference (policy net 21-64-64-64-64-8)");
 
   nn::Mlp network(kPolicyTopology);
   network.init(4242);
   const npu::CompiledModel compiled = npu::CompiledModel::compile(network);
-
-  npu::NpuBackend scalar;
-  npu::CpuSimdBackend simd;
-  npu::AutoBackend auto_backend(scalar, simd);
-  struct Engine {
-    const char* name;
-    npu::InferenceBackend* backend;
-  };
-  const Engine engines[] = {
-      {"scalar", &scalar}, {"cpu_simd", &simd}, {"auto", &auto_backend}};
 
   const npu::NpuCostModel cost =
       npu::NpuCostModel::from_legacy(npu::NpuLatencyModel{});
@@ -106,52 +116,52 @@ int run(const InferBenchConfig& bench, const BenchOptions& options) {
                                               : "BENCH_npu.json");
   bool identical = true;
 
-  std::printf("\n  %-8s %12s %12s %12s %10s %14s\n", "batch", "scalar_us",
-              "cpu_simd_us", "auto_us", "simd_x", "npu_model_us");
+  std::printf("\n  %-8s %12s %12s %10s %14s\n", "batch", "scalar_us",
+              "simd_us", "simd_x", "npu_model_us");
   for (const std::size_t batch : bench.batches) {
     const nn::Matrix input =
         random_batch(batch, kPolicyTopology.inputs, 1000 + batch);
+
     nn::Matrix reference;
     nn::InferenceWorkspace ref_ws;
-    scalar.infer(compiled, input, reference, ref_ws);
-
-    double per_engine_ms[3] = {0.0, 0.0, 0.0};
-    for (std::size_t e = 0; e < 3; ++e) {
-      nn::Matrix out;
-      nn::InferenceWorkspace ws;
-      npu::InferenceBackend& engine = *engines[e].backend;
-      engine.infer(compiled, input, out, ws);
-      if (!bit_identical(out, reference)) {
-        std::fprintf(stderr,
-                     "FAIL: %s output differs from the scalar reference "
-                     "at batch %zu\n",
-                     engines[e].name, batch);
-        identical = false;
-      }
-      per_engine_ms[e] = time_call_ms(
-          [&] { engine.infer(compiled, input, out, ws); }, bench.target_ms);
-      const double rate =
-          static_cast<double>(batch) / (per_engine_ms[e] / 1e3);
-      json.add_rate("infer_" + std::string(engines[e].name) + "_b" +
-                        std::to_string(batch),
-                    per_engine_ms[e], 1, per_engine_ms[0] / per_engine_ms[e],
-                    rate);
+    std::vector<float> bt;
+    reference_infer(compiled.network(), input, reference, ref_ws, bt);
+    nn::Matrix out;
+    nn::InferenceWorkspace ws;
+    compiled.infer_batched_into(input, out, ws);
+    if (!bit_identical(out, reference)) {
+      std::fprintf(stderr,
+                   "FAIL: production output differs from the scalar "
+                   "reference at batch %zu\n",
+                   batch);
+      identical = false;
     }
+
+    const double scalar_ms = time_call_ms(
+        [&] {
+          reference_infer(compiled.network(), input, reference, ref_ws, bt);
+        },
+        bench.target_ms);
+    const double simd_ms = time_call_ms(
+        [&] { compiled.infer_batched_into(input, out, ws); },
+        bench.target_ms);
+    const double rows = static_cast<double>(batch);
+    json.add_rate("infer_scalar_b" + std::to_string(batch), scalar_ms, 1,
+                  1.0, rows / (scalar_ms / 1e3));
+    json.add_rate("infer_simd_b" + std::to_string(batch), simd_ms, 1,
+                  scalar_ms / simd_ms, rows / (simd_ms / 1e3));
 
     // Modeled NPU curve: latency from the per-layer cost model; the
     // "speedup" column records the Fig. 12 property — how much cheaper a
     // row gets when the batch amortizes fixed overhead + weight traffic.
     const double model_ms = cost.latency_s(kPolicyTopology, batch) * 1e3;
     const double model_amortization =
-        cost.latency_s(kPolicyTopology, 1) * static_cast<double>(batch) /
-        (model_ms / 1e3);
+        cost.latency_s(kPolicyTopology, 1) * rows / (model_ms / 1e3);
     json.add_rate("npu_model_b" + std::to_string(batch), model_ms, 1,
-                  model_amortization,
-                  static_cast<double>(batch) / (model_ms / 1e3));
+                  model_amortization, rows / (model_ms / 1e3));
 
-    std::printf("  %-8zu %12.2f %12.2f %12.2f %9.2fx %14.1f\n", batch,
-                per_engine_ms[0] * 1e3, per_engine_ms[1] * 1e3,
-                per_engine_ms[2] * 1e3, per_engine_ms[0] / per_engine_ms[1],
+    std::printf("  %-8zu %12.2f %12.2f %9.2fx %14.1f\n", batch,
+                scalar_ms * 1e3, simd_ms * 1e3, scalar_ms / simd_ms,
                 model_ms * 1e3);
   }
 
@@ -162,22 +172,21 @@ int run(const InferBenchConfig& bench, const BenchOptions& options) {
     const nn::Topology gemm_topology{shape.in, {}, shape.out};
     nn::Mlp layer_net(gemm_topology);
     layer_net.init(7 + shape.in * 131 + shape.out);
+    const nn::DenseLayer& layer = layer_net.layers().front();
     for (const std::size_t batch : bench.gemm_batches) {
       const nn::Matrix input =
           random_batch(batch, shape.in, 9000 + shape.in + batch);
       nn::Matrix out;
       nn::InferenceWorkspace ws;
+      std::vector<float> bt;
       const double scalar_ms = time_call_ms(
           [&] {
-            layer_net.predict_into(input, out, ws,
-                                   nn::InferenceKernel::Scalar);
+            nn::dense_forward_reference(input, layer.weights(), layer.bias(),
+                                        out, bt, /*relu=*/false);
           },
           bench.target_ms);
       const double simd_ms = time_call_ms(
-          [&] {
-            layer_net.predict_into(input, out, ws, nn::InferenceKernel::Simd);
-          },
-          bench.target_ms);
+          [&] { layer_net.predict_into(input, out, ws); }, bench.target_ms);
       const std::string name = "gemm_" + std::to_string(shape.in) + "x" +
                                std::to_string(shape.out) + "_b" +
                                std::to_string(batch);
@@ -194,10 +203,11 @@ int run(const InferBenchConfig& bench, const BenchOptions& options) {
   json.flush();
   if (!identical) {
     std::fprintf(stderr,
-                 "perf_infer: backend outputs are NOT bit-identical\n");
+                 "perf_infer: production outputs are NOT bit-identical to "
+                 "the scalar reference\n");
     return 1;
   }
-  std::printf("\nall backends bit-identical to the scalar reference; "
+  std::printf("\nproduction path bit-identical to the scalar reference; "
               "records written\n");
   return 0;
 }
@@ -221,6 +231,6 @@ int main(int argc, char** argv) {
   }
   const auto options = topil::bench::parse_bench_args(
       static_cast<int>(args.size()), args.data());
-  (void)options.jobs;  // the engines under test are single-threaded
+  (void)options.jobs;  // the kernels under test are single-threaded
   return topil::bench::run(bench, options);
 }

@@ -9,7 +9,6 @@
 #include "common/thread_pool.hpp"
 #include "core/runner.hpp"
 #include "core/training.hpp"
-#include "npu/inference_backend.hpp"
 #include "thermal/thermal_propagator.hpp"
 #include "workloads/generator.hpp"
 
@@ -53,10 +52,6 @@ std::string pm(const RunningStats& stats, int precision = 2);
 ///   --validate   run every simulation under the runtime invariant
 ///                checker (src/validate); the first violated invariant
 ///                aborts the run with a structured error
-///   --backend npu|cpu_simd|auto
-///                host inference engine (npu/inference_backend.hpp);
-///                applied process-wide at parse time. All backends are
-///                bit-identical, so outputs and digests do not change.
 struct BenchOptions {
   std::size_t jobs = ThreadPool::default_jobs();
   std::string json_path;  ///< empty = no JSON output
@@ -65,9 +60,6 @@ struct BenchOptions {
   ThermalIntegrator integrator = ThermalIntegrator::Exponential;
   /// Attach the runtime invariant checker to every simulation.
   bool validate = false;
-  /// Host inference backend (already applied process-wide by
-  /// parse_bench_args; kept here so benches can report it).
-  npu::BackendKind backend = npu::BackendKind::Npu;
 
   bool json_enabled() const { return !json_path.empty(); }
 
@@ -80,9 +72,8 @@ struct BenchOptions {
 };
 
 /// Parse `--jobs N` / `--json FILE` / `--integrator heun|exp` /
-/// `--validate` / `--backend npu|cpu_simd|auto`; exits with a usage
-/// message on malformed input, ignores nothing (unknown flags are an
-/// error). `--backend` is applied process-wide via set_active_backend.
+/// `--validate`; exits with a usage message on malformed input, ignores
+/// nothing (unknown flags are an error).
 /// Also warns on stderr when `--jobs` exceeds the machine's hardware
 /// threads (speedup figures would be meaningless).
 BenchOptions parse_bench_args(int argc, char** argv);

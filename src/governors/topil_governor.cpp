@@ -3,14 +3,12 @@
 #include <algorithm>
 
 #include "il/runtime_features.hpp"
-#include "npu/inference_backend.hpp"
 #include "persist/snapshot.hpp"
 #include "sim/perf_counters.hpp"
 
 namespace topil {
 
 namespace {
-constexpr const char* kModelName = "topil-policy";
 constexpr const char* kOverheadComponent = "migration";
 
 npu::NpuCostModel governor_cost_model(const TopIlGovernor::Config& config) {
@@ -27,13 +25,11 @@ TopIlGovernor::TopIlGovernor(il::IlPolicyModel model, Config config)
     : model_(std::move(model)),
       config_(config),
       compiled_(npu::CompiledModel::compile(model_.network())),
-      npu_(std::make_shared<npu::NpuDevice>(governor_cost_model(config))),
-      hiai_(npu_),
+      npu_(governor_cost_model(config)),
       dvfs_(config.dvfs) {
   TOPIL_REQUIRE(config.migration_period_s > 0.0,
                 "migration period must be positive");
-  npu_->set_aggregator(config.aggregator);
-  hiai_.load_model(kModelName, compiled_);
+  npu_.set_aggregator(config.aggregator);
 }
 
 void TopIlGovernor::reset(SystemSim& sim) {
@@ -63,16 +59,15 @@ void TopIlGovernor::start_migration_epoch(SystemSim& sim) {
   // The NPU path requires the platform to actually have one; otherwise
   // fall back to (slower, linear-cost) CPU inference transparently.
   if (config_.use_npu && sim.platform().npu().present) {
-    const auto job = hiai_.process_async(kModelName, batch, sim.now());
-    sim.npu_busy_for(hiai_.latency_s(kModelName, batch.rows()));
+    const auto job = npu_.submit(compiled_, batch, sim.now());
+    sim.npu_busy_for(npu_.latency_s(compiled_, batch.rows()));
     pending_ = PendingJob{job, pids};
   } else {
     // CPU fallback: synchronous inference, its latency charged as CPU time.
     sim.charge_overhead(kOverheadComponent,
                         config_.cpu_inference.latency_s(
                             batch.rows(), compiled_.macs_per_row()));
-    model_.network().predict_into(batch, cpu_ratings_, cpu_ws_,
-                                  npu::host_kernel_for(batch.rows()));
+    model_.network().predict_into(batch, cpu_ratings_, cpu_ws_);
     finish_migration_epoch(sim, cpu_ratings_, pids);
   }
 }
@@ -125,7 +120,7 @@ void TopIlGovernor::finish_migration_epoch(SystemSim& sim,
 void TopIlGovernor::save_state(persist::StateWriter& out) const {
   out.tag("TIL ");
   persist::SnapshotAccess::save(out, dvfs_);
-  persist::SnapshotAccess::save(out, *npu_);
+  persist::SnapshotAccess::save(out, npu_);
   out.f64(next_migration_);
   out.boolean(epoch_deferred_);
   out.u64(migrations_);
@@ -141,7 +136,7 @@ void TopIlGovernor::save_state(persist::StateWriter& out) const {
 void TopIlGovernor::restore_state(persist::StateReader& in) {
   in.expect_tag("TIL ");
   persist::SnapshotAccess::restore(in, dvfs_);
-  persist::SnapshotAccess::restore(in, *npu_);
+  persist::SnapshotAccess::restore(in, npu_);
   next_migration_ = in.f64();
   epoch_deferred_ = in.boolean();
   migrations_ = in.size();
@@ -160,8 +155,8 @@ void TopIlGovernor::restore_state(persist::StateReader& in) {
 void TopIlGovernor::tick(SystemSim& sim) {
   dvfs_.tick(sim);
 
-  if (pending_ && npu_->ready(pending_->job, sim.now())) {
-    const nn::Matrix ratings = npu_->take_result(pending_->job, sim.now());
+  if (pending_ && npu_.ready(pending_->job, sim.now())) {
+    const nn::Matrix ratings = npu_.take_result(pending_->job, sim.now());
     const std::vector<Pid> pids = pending_->pids;
     pending_.reset();
     finish_migration_epoch(sim, ratings, pids);

@@ -1,12 +1,12 @@
 #pragma once
 
-#include <memory>
 #include <optional>
+#include <vector>
 
 #include "governors/dvfs_control.hpp"
 #include "governors/governor.hpp"
 #include "il/il_model.hpp"
-#include "npu/hiai_ddk.hpp"
+#include "npu/npu_device.hpp"
 
 namespace topil {
 
@@ -71,8 +71,7 @@ class TopIlGovernor : public Governor {
   il::IlPolicyModel model_;
   Config config_;
   npu::CompiledModel compiled_;
-  std::shared_ptr<npu::NpuDevice> npu_;
-  hiai::AiModelManagerClient hiai_;
+  npu::NpuDevice npu_;
   DvfsControlLoop dvfs_;
 
   double next_migration_ = 0.0;

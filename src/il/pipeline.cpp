@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/parallel_for.hpp"
-#include "npu/inference_backend.hpp"
 
 namespace topil::il {
 
@@ -32,14 +31,11 @@ ModelEvalResult evaluate_policy_model(const nn::Mlp& model,
   // Utilization features occupy the tail of the feature vector.
   const std::size_t util_offset = features.num_features() - n_cores;
 
-  // One batched pass over the whole test set with reusable buffers
-  // (bit-identical to predict, allocation-free in steady state). The
-  // kernel follows the active inference backend: test sets are large
-  // batches, so cpu_simd/auto run the fused SIMD path here.
+  // One batched pass over the whole test set (bit-identical to
+  // row-at-a-time predict).
   nn::Matrix predictions;
   nn::InferenceWorkspace eval_ws;
-  model.predict_into(test_set.features_matrix(), predictions, eval_ws,
-                     npu::host_kernel_for(test_set.size()));
+  model.predict_into(test_set.features_matrix(), predictions, eval_ws);
 
   ModelEvalResult result;
   double excess_sum = 0.0;

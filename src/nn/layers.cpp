@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/simd_kernels.hpp"
+
 namespace topil::nn {
 
 DenseLayer::DenseLayer(std::size_t in_features, std::size_t out_features)
@@ -31,19 +33,17 @@ Matrix DenseLayer::forward(const Matrix& input) {
 
 Matrix DenseLayer::forward_inference(const Matrix& input) const {
   Matrix out;
-  std::vector<float> bt;
-  forward_inference_into(input, out, bt);
+  forward_inference_into(input, out, /*relu=*/false);
   return out;
 }
 
 void DenseLayer::forward_inference_into(const Matrix& input, Matrix& out,
-                                        std::vector<float>& bt_scratch) const {
+                                        bool relu) const {
   TOPIL_REQUIRE(input.cols() == in_, "dense layer input width mismatch");
-  input.matmul_into(w_, out, bt_scratch);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    float* o = out.row(r);
-    for (std::size_t c = 0; c < out_; ++c) o[c] += b_[c];
-  }
+  TOPIL_REQUIRE(&out != &input, "dense layer output must not alias input");
+  out.resize(input.rows(), out_);
+  dense_forward_simd(input.data(), input.rows(), in_, w_.data(), b_.data(),
+                     out_, out.data(), relu);
 }
 
 Matrix DenseLayer::backward(const Matrix& grad_output) {

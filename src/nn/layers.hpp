@@ -23,12 +23,12 @@ class DenseLayer {
   /// Inference-only forward pass (no caching, usable on const layers).
   Matrix forward_inference(const Matrix& input) const;
 
-  /// Inference forward pass into a caller-owned output, with a caller-owned
-  /// transpose scratch buffer (see Matrix::matmul_into). The governor's
-  /// per-tick inference loop reuses one workspace instead of allocating an
-  /// activation matrix and a transpose buffer per layer per call.
+  /// Inference forward pass into a caller-owned output (`out` must not
+  /// alias `input`), through the fused kernel nn::dense_forward_simd.
+  /// `relu` applies the activation inside the kernel; the result is
+  /// bit-identical to a separate ReLU pass.
   void forward_inference_into(const Matrix& input, Matrix& out,
-                              std::vector<float>& bt_scratch) const;
+                              bool relu) const;
 
   /// Backward pass: given dL/dy, accumulates dL/dW and dL/db and returns
   /// dL/dx for the upstream layer.

@@ -40,40 +40,10 @@ void Mlp::predict_into(const Matrix& input, Matrix& out,
   const Matrix* x = &input;
   for (std::size_t i = 0; i < relu_.size(); ++i) {
     Matrix& activation = (i % 2 == 0) ? ws.a : ws.b;
-    dense_[i].forward_inference_into(*x, activation, ws.bt);
-    float* data = activation.data();
-    for (std::size_t k = 0; k < activation.size(); ++k) {
-      if (data[k] < 0.0f) data[k] = 0.0f;
-    }
+    dense_[i].forward_inference_into(*x, activation, /*relu=*/true);
     x = &activation;
   }
-  dense_.back().forward_inference_into(*x, out, ws.bt);
-}
-
-void Mlp::predict_into(const Matrix& input, Matrix& out,
-                       InferenceWorkspace& ws, InferenceKernel kernel) const {
-  if (kernel == InferenceKernel::Scalar) {
-    predict_into(input, out, ws);
-    return;
-  }
-  TOPIL_REQUIRE(input.cols() == topology_.inputs,
-                "input width does not match topology");
-  const Matrix* x = &input;
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
-    Matrix& activation = (i % 2 == 0) ? ws.a : ws.b;
-    const DenseLayer& layer = dense_[i];
-    activation.resize(x->rows(), layer.out_features());
-    dense_forward_simd(x->data(), x->rows(), layer.in_features(),
-                       layer.weights().data(), layer.bias().data(),
-                       layer.out_features(), activation.data(),
-                       /*relu=*/true);
-    x = &activation;
-  }
-  const DenseLayer& last = dense_.back();
-  out.resize(x->rows(), last.out_features());
-  dense_forward_simd(x->data(), x->rows(), last.in_features(),
-                     last.weights().data(), last.bias().data(),
-                     last.out_features(), out.data(), /*relu=*/false);
+  dense_.back().forward_inference_into(*x, out, /*relu=*/false);
 }
 
 void Mlp::backward(const Matrix& grad_output) {

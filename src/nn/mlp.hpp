@@ -4,7 +4,6 @@
 
 #include "common/rng.hpp"
 #include "nn/layers.hpp"
-#include "nn/simd_kernels.hpp"
 
 namespace topil::nn {
 
@@ -19,14 +18,13 @@ struct Topology {
 };
 
 /// Reusable buffers for the inference forward pass: two ping-pong
-/// activation matrices plus the matmul transpose scratch. A caller that
-/// runs inference repeatedly (governor tick, training validation) keeps
-/// one workspace alive so the whole pass allocates nothing in steady
-/// state. Workspaces must not be shared between threads.
+/// activation matrices. A caller that runs inference repeatedly (governor
+/// tick, training validation) keeps one workspace alive so the whole pass
+/// allocates nothing in steady state. Workspaces must not be shared between
+/// threads.
 struct InferenceWorkspace {
   Matrix a;
   Matrix b;
-  std::vector<float> bt;
 };
 
 /// Fully-connected multi-layer perceptron: ReLU on hidden layers, linear
@@ -46,12 +44,6 @@ class Mlp {
   /// must not alias `input`. Bit-identical to `predict`.
   void predict_into(const Matrix& input, Matrix& out,
                     InferenceWorkspace& ws) const;
-  /// Same forward pass through an explicit compute engine. Both kernels
-  /// are bit-identical by contract (see nn/simd_kernels.hpp); `Simd` runs
-  /// the fused j-blocked kernel directly off the layer weights (no
-  /// transpose scratch), `Scalar` is the reference path above.
-  void predict_into(const Matrix& input, Matrix& out, InferenceWorkspace& ws,
-                    InferenceKernel kernel) const;
 
   /// Backprop from dL/d(output); accumulates parameter gradients.
   void backward(const Matrix& grad_output);

@@ -4,16 +4,9 @@
 
 namespace topil::nn {
 
-/// Which host compute engine materializes an inference result. Both engines
-/// are bit-identical by contract (same fp32 accumulation order, ascending-k,
-/// fused bias add, branch-preserving ReLU), so selecting one is purely a
-/// throughput decision and never changes digests.
-enum class InferenceKernel {
-  Scalar,  ///< reference path: Matrix::matmul_into + separate bias pass
-  Simd,    ///< fused j-blocked kernel, target_clones AVX2/AVX-512 dispatch
-};
-
-/// Fused dense-layer forward pass: out = x * w + bias, optional ReLU.
+/// Fused dense-layer forward pass: out = x * w + bias, optional ReLU. Every
+/// dense forward, inference and training alike, runs through it
+/// (DenseLayer::forward_inference_into).
 ///
 ///   x    rows x in, row-major
 ///   w    in x out_cols, row-major (output channel j contiguous at fixed k,
@@ -24,10 +17,10 @@ enum class InferenceKernel {
 ///   out  rows x out_cols, row-major; must not alias x or w
 ///
 /// Per output element the operation sequence is exactly the scalar
-/// reference's: acc = 0.0f; acc += x[k]*w[k] for k ascending; v = acc +
-/// bias; if relu and v < 0.0f then 0.0f. With -ffp-contract=off (repo-wide)
-/// no FMA fusion can reassociate, so results are bit-identical across the
-/// scalar path and every target_clones variant.
+/// reference's (nn::dense_forward_reference): acc = 0.0f; acc += x[k]*w[k]
+/// for k ascending; v = acc + bias; if relu and v < 0.0f then 0.0f. With
+/// -ffp-contract=off (repo-wide) no FMA fusion can reassociate, so results
+/// are bit-identical across the reference and every target_clones variant.
 void dense_forward_simd(const float* x, std::size_t rows, std::size_t in,
                         const float* w, const float* bias,
                         std::size_t out_cols, float* out, bool relu);

@@ -126,4 +126,21 @@ Matrix Matrix::matmul_transposed_other(const Matrix& other) const {
   return out;
 }
 
+void dense_forward_reference(const Matrix& x, const Matrix& w,
+                             const std::vector<float>& bias, Matrix& out,
+                             std::vector<float>& bt_scratch, bool relu) {
+  TOPIL_REQUIRE(bias.size() == w.cols(), "bias width mismatch");
+  x.matmul_into(w, out, bt_scratch);
+  for (std::size_t r = 0; r < out.rows(); ++r) {
+    float* o = out.row(r);
+    for (std::size_t c = 0; c < out.cols(); ++c) o[c] += bias[c];
+  }
+  if (relu) {
+    float* data = out.data();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (data[i] < 0.0f) data[i] = 0.0f;
+    }
+  }
+}
+
 }  // namespace topil::nn

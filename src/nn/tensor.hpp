@@ -38,10 +38,9 @@ class Matrix {
   /// out = this * other  (rows x other.cols).
   Matrix matmul(const Matrix& other) const;
   /// out = this * other, written into a caller-owned output matrix with a
-  /// caller-owned scratch buffer for the transposed right operand. Reusing
-  /// both across calls (see nn::InferenceWorkspace) removes the per-call
-  /// allocations from the inference hot path. Accumulation order is
-  /// identical to `matmul`, so results match bit-for-bit.
+  /// caller-owned scratch buffer for the transposed right operand (reused
+  /// across calls, it removes the per-call allocations). Accumulation order
+  /// is identical to `matmul`, so results match bit-for-bit.
   void matmul_into(const Matrix& other, Matrix& out,
                    std::vector<float>& bt_scratch) const;
   /// out = this^T * other.
@@ -54,5 +53,14 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<float> data_;
 };
+
+/// Scalar reference for one dense layer: out = x * w + bias, then an
+/// optional ReLU. It runs matmul_into, a separate bias pass and a separate
+/// `if (v < 0) v = 0` pass. nn::dense_forward_simd, which every inference
+/// and training forward runs, performs the same per-element operation
+/// sequence; tests and perf_infer compare it against this bit for bit.
+void dense_forward_reference(const Matrix& x, const Matrix& w,
+                             const std::vector<float>& bias, Matrix& out,
+                             std::vector<float>& bt_scratch, bool relu);
 
 }  // namespace topil::nn

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "npu/inference_backend.hpp"
-
 namespace topil::npu {
 
 void InferenceAggregator::enqueue(const CompiledModel& model,
@@ -48,7 +46,7 @@ void InferenceAggregator::flush() {
                   in.rows() * cols * sizeof(float));
       row += in.rows();
     }
-    dispatch_inference(model, concat_, result_, ws_);
+    model.infer_batched_into(concat_, result_, ws_);
     row = 0;
     for (std::size_t j : group_) {
       const std::size_t rows = pending_[j].input.rows();

@@ -25,14 +25,13 @@ class CompiledModel {
   nn::Matrix infer(const nn::Matrix& input) const;
 
   /// Batched inference into a caller-owned output with reusable buffers
-  /// (blocked-matmul kernels, zero allocations in steady state). `out`
+  /// (the fused dense kernel, zero allocations in steady state). `out`
   /// must not alias `input`. Bit-identical to row-at-a-time `infer`.
   void infer_batched_into(const nn::Matrix& input, nn::Matrix& out,
                           nn::InferenceWorkspace& ws) const;
 
   const nn::Topology& topology() const { return quantized_.topology(); }
-  /// The quantized network itself. Inference backends read the (fp16-exact)
-  /// weights directly, e.g. to pack their own cached layouts.
+  /// The quantized network itself (fp16-exact fp32 weights).
   const nn::Mlp& network() const { return quantized_; }
   std::size_t num_params() const { return quantized_.num_params(); }
   /// Multiply-accumulate operations per input row.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "npu/batch_aggregator.hpp"
-#include "npu/inference_backend.hpp"
 
 namespace topil::npu {
 
@@ -36,7 +35,7 @@ NpuDevice::JobId NpuDevice::submit(const CompiledModel& model,
     busy_until_ = job.done_at;
   }
   if (aggregator_ == nullptr) {
-    dispatch_inference(model, input, job.result, ws_);
+    model.infer_batched_into(input, job.result, ws_);
   }
   const JobId id = next_id_++;
   auto [it, inserted] = jobs_.emplace(id, std::move(job));

@@ -16,10 +16,9 @@ class InferenceAggregator;
 
 /// Behavioural NPU device: accepts asynchronous batched inference jobs and
 /// makes results available after the latency of the per-layer cost model
-/// (npu/npu_cost_model.hpp). Results are computed with fp16-quantized
-/// weights (see CompiledModel) by whichever host inference backend is
-/// active (npu/inference_backend.hpp) — every backend is bit-identical, so
-/// the backend choice never changes results or timing.
+/// (npu/npu_cost_model.hpp). Results are computed on the host with the
+/// fp16-quantized weights (CompiledModel::infer_batched_into); the host
+/// compute never affects the modeled timing.
 class NpuDevice {
  public:
   using JobId = std::size_t;

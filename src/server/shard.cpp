@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <set>
 
 #include "common/error.hpp"
 #include "persist/checkpoint.hpp"
@@ -348,7 +349,10 @@ std::string Shard::encode_shard_checkpoint() {
   out.tag("SSHD");
   out.str(config_.meta);
   out.u64(fleet_ticks_.load(std::memory_order_relaxed));
-  out.u64(wal_ ? wal_->next_seq() : 0);  // WAL watermark (diagnostic)
+  // WAL watermark: every device below was registered by a WAL record with
+  // a smaller seq, which is how restore_from_disk tells it from a later
+  // re-registration of the same id.
+  out.u64(wal_ ? wal_->next_seq() : 0);
   out.u64(devices_.size());
   for (const auto& [id, device] : devices_) {
     out.tag("SDEV");
@@ -379,7 +383,12 @@ void Shard::restore_from_disk() {
 
   // The WAL is the membership authority: live = registered minus
   // (retired ∪ deregistered), replayed in sequence order.
-  std::map<std::uint64_t, std::string> live_specs;
+  struct LiveSpec {
+    std::string text;
+    std::uint64_t seq = 0;  ///< WAL seq of the registration that is live
+  };
+  std::map<std::uint64_t, LiveSpec> live_specs;
+  std::set<std::uint64_t> ever_registered;
   for (const persist::WalRecord& record : recovery.records) {
     switch (record.type) {
       case kShardWalRegister: {
@@ -388,7 +397,8 @@ void Shard::restore_from_disk() {
         const std::uint64_t id = in.u64();
         std::string text = in.str();
         in.require_done();
-        live_specs[id] = std::move(text);
+        live_specs[id] = LiveSpec{std::move(text), record.seq};
+        ever_registered.insert(id);
         registered_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
@@ -415,7 +425,10 @@ void Shard::restore_from_disk() {
   // Checkpointed devices continue mid-run; everything else in the live set
   // restarts from tick zero (the WAL register landed after the last
   // checkpoint). Both are deterministic, so the final digests match an
-  // uninterrupted run either way.
+  // uninterrupted run either way. A checkpoint only lists the devices live
+  // when it was written: a crash can land after later retirements,
+  // deregistrations or re-registrations reached the WAL but before the
+  // next checkpoint.
   std::map<std::uint64_t, std::unique_ptr<Device>> restored;
   const std::string ckpt = checkpoint_path();
   if (std::filesystem::exists(ckpt)) {
@@ -428,16 +441,15 @@ void Shard::restore_from_disk() {
                   "configuration (recorded '" +
                       meta + "', expected '" + config_.meta + "'): " + ckpt);
     fleet_ticks_.store(in.u64(), std::memory_order_relaxed);
-    in.u64();  // WAL watermark — diagnostic only
+    const std::uint64_t watermark = in.u64();  // WAL next_seq at write time
     const std::uint64_t count = in.u64();
     for (std::uint64_t i = 0; i < count; ++i) {
       in.expect_tag("SDEV");
       const std::uint64_t id = in.u64();
       const std::string text = in.str();
-      const auto live_it = live_specs.find(id);
-      TOPIL_REQUIRE(live_it != live_specs.end(),
+      TOPIL_REQUIRE(ever_registered.count(id) != 0,
                     "shard checkpoint device " + std::to_string(id) +
-                        " is not live in the WAL: " + ckpt);
+                        " was never registered in the WAL: " + ckpt);
       std::unique_ptr<Device> device = build_device(id, text);
       device->next_arrival = static_cast<std::size_t>(in.u64());
       device->action_seq = in.u64();
@@ -454,14 +466,21 @@ void Shard::restore_from_disk() {
       device->fanout.on_attach(*device->sim);
       device->governor->restore_state(in);
       device->monitor.resume_from(digest_state, digest_ticks);
-      restored.emplace(id, std::move(device));
+      // Continue only the registration the checkpoint captured. A device
+      // that ended after the checkpoint already has its outcome in the WAL;
+      // one registered again since restarts below. Its section is parsed
+      // either way: sections are not length-prefixed.
+      const auto live_it = live_specs.find(id);
+      if (live_it != live_specs.end() && live_it->second.seq < watermark) {
+        restored.emplace(id, std::move(device));
+      }
     }
     in.require_done();
   }
 
-  for (const auto& [id, text] : live_specs) {
+  for (const auto& [id, spec] : live_specs) {
     if (restored.count(id) != 0) continue;
-    restored.emplace(id, build_device(id, text));
+    restored.emplace(id, build_device(id, spec.text));
   }
 
   // Attach in ascending id order — per-device streams are independent of

@@ -75,14 +75,8 @@ struct LaneDriver {
 std::vector<ExperimentResult> run_experiments(
     const std::vector<FleetJob>& jobs, const FleetOptions& options) {
   TOPIL_REQUIRE(!jobs.empty(), "no fleet jobs");
-  // Backend override for the whole run (workers inherit the process-wide
-  // setting; it is installed before any worker starts and restored after
-  // the last one joins).
-  std::optional<npu::ScopedBackend> scoped_backend;
-  if (options.backend) scoped_backend.emplace(*options.backend);
-  std::size_t batch = options.batch;
-  if (batch == 0) batch = jobs.front().config.sim.fleet_batch;
-  if (batch == 0) batch = 1;
+  TOPIL_REQUIRE(options.batch > 0, "fleet batch must be at least 1");
+  const std::size_t batch = options.batch;
 
   // Consecutive partition: results stay in input order and a batch's lane
   // set is a pure function of (jobs, batch), independent of worker count.

@@ -2,12 +2,10 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "npu/batch_aggregator.hpp"
-#include "npu/inference_backend.hpp"
 
 namespace topil::fleet {
 
@@ -28,21 +26,13 @@ struct FleetJob {
 };
 
 struct FleetOptions {
-  /// Lanes stepped in SoA lockstep per worker. 0 derives the value from
-  /// the first job's `config.sim.fleet_batch` (the flag of record that
-  /// DAgger / campaign configs forward); 1 degenerates to scalar-order
-  /// stepping through the same engine.
-  std::size_t batch = 0;
+  /// Lanes stepped in SoA lockstep per worker (at least 1; 1 degenerates
+  /// to scalar-order stepping through the same engine).
+  std::size_t batch = 1;
   /// Worker threads across batches (0 = hardware concurrency). Each batch
   /// is stepped by exactly one worker, so per-batch state (the inference
   /// aggregator, the SoA slabs) needs no locking.
   std::size_t jobs = 1;
-  /// Host inference backend for this run's aggregated flushes (and every
-  /// other inference in scope). Overrides the process-wide active backend
-  /// for the duration of the run, restoring it afterwards; nullopt keeps
-  /// whatever is active. All backends are bit-identical, so results and
-  /// digests do not depend on this knob.
-  std::optional<npu::BackendKind> backend;
 };
 
 /// Run every job and return results in input order — each element equal in

@@ -60,12 +60,6 @@ struct SimConfig {
   /// Transient thermal scheme. Heun keeps historical bit-exact traces;
   /// Exponential does one precomputed matvec per tick (bench default).
   ThermalIntegrator integrator = ThermalIntegrator::Heun;
-  /// Lockstep lane count for fleet-capable drivers (fleet::run_experiments
-  /// and the layers built on it — DAgger rollouts, fuzz campaigns). 1 runs
-  /// the scalar reference path; N > 1 steps up to N simulations in SoA
-  /// lockstep per worker. The simulator itself ignores the flag — batched
-  /// and scalar runs are bit-identical by construction (DESIGN.md §10).
-  std::size_t fleet_batch = 1;
   std::uint64_t seed = 1;
 };
 

@@ -369,30 +369,20 @@ TEST(FleetAggregator, TopIlLanesMatchScalarRuns) {
 
 // --- option plumbing ---------------------------------------------------
 
-TEST(FleetOptions, BatchZeroDerivesFromSimConfig) {
+TEST(FleetOptions, RejectsBatchZero) {
   const PlatformSpec platform = PlatformSpec::hikey970();
   WorkloadGenerator generator(platform);
   const Workload w =
       generator.single(AppDatabase::instance().by_name("swaptions"));
-
-  std::deque<validate::DigestMonitor> monitors(2);
-  std::vector<fleet::FleetJob> jobs(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    jobs[i].platform = &platform;
-    jobs[i].workload = &w;
-    jobs[i].config.sim.integrator = ThermalIntegrator::Exponential;
-    jobs[i].config.sim.fleet_batch = 2;  // the flag of record
-    jobs[i].config.max_duration_s = 600.0;
-    jobs[i].config.monitor = &monitors[i];
-    jobs[i].make_governor = [](npu::InferenceAggregator*) {
-      return make_gts_ondemand();
-    };
-  }
-  const std::vector<ExperimentResult> results =
-      fleet::run_experiments(jobs, {});
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].apps_completed, 1u);
-  EXPECT_EQ(monitors[0].digest(), monitors[1].digest());
+  std::vector<fleet::FleetJob> jobs(1);
+  jobs[0].platform = &platform;
+  jobs[0].workload = &w;
+  jobs[0].make_governor = [](npu::InferenceAggregator*) {
+    return make_gts_ondemand();
+  };
+  fleet::FleetOptions options;
+  options.batch = 0;
+  EXPECT_THROW(fleet::run_experiments(jobs, options), InvalidArgument);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -11,44 +10,10 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/mlp.hpp"
+#include "reference_forward.hpp"
 
 namespace topil::nn {
 namespace {
-
-std::uint32_t bits_of(float value) {
-  std::uint32_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-// Scalar reference for one dense layer, written exactly the way the
-// production reference computes it: matmul (acc = 0, ascending k), then a
-// SEPARATE bias pass, then an elementwise `if (v < 0) v = 0` ReLU.
-void dense_forward_reference(const Matrix& x, const Matrix& w,
-                             const std::vector<float>& bias, Matrix& out,
-                             std::vector<float>& bt, bool relu) {
-  x.matmul_into(w, out, bt);
-  for (std::size_t r = 0; r < out.rows(); ++r) {
-    float* o = out.row(r);
-    for (std::size_t c = 0; c < out.cols(); ++c) o[c] += bias[c];
-  }
-  if (relu) {
-    float* data = out.data();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (data[i] < 0.0f) data[i] = 0.0f;
-    }
-  }
-}
-
-void expect_bit_identical(const Matrix& got, const Matrix& want,
-                          const std::string& label) {
-  ASSERT_EQ(got.rows(), want.rows()) << label;
-  ASSERT_EQ(got.cols(), want.cols()) << label;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(bits_of(got.data()[i]), bits_of(want.data()[i]))
-        << label << " element " << i;
-  }
-}
 
 TEST(DenseForwardSimd, BitIdenticalToReferenceOverRaggedShapes) {
   Rng rng(20260809);
@@ -77,10 +42,10 @@ TEST(DenseForwardSimd, BitIdenticalToReferenceOverRaggedShapes) {
     Matrix got(rows, out_cols);
     dense_forward_simd(x.data(), rows, in, w.data(), bias.data(), out_cols,
                        got.data(), relu);
-    expect_bit_identical(got, want,
-                         "shape " + std::to_string(rows) + "x" +
-                             std::to_string(in) + "x" +
-                             std::to_string(out_cols));
+    expect_bits_equal(got, want,
+                      "shape " + std::to_string(rows) + "x" +
+                          std::to_string(in) + "x" +
+                          std::to_string(out_cols));
   }
 }
 
@@ -118,7 +83,7 @@ TEST(DenseForwardSimd, AdversarialValuesMatchBitwise) {
     Matrix got(rows, out_cols);
     dense_forward_simd(x.data(), rows, in, w.data(), bias.data(), out_cols,
                        got.data(), relu);
-    expect_bit_identical(got, want, relu ? "relu" : "linear");
+    expect_bits_equal(got, want, relu ? "relu" : "linear");
   }
 }
 
@@ -158,15 +123,11 @@ TEST(MlpSimdKernel, PredictIntoBitIdenticalAcrossKernels) {
       input.data()[i] = static_cast<float>(values.gaussian(0.0, 1.0));
     }
 
-    Matrix scalar_out;
-    Matrix simd_out;
-    InferenceWorkspace scalar_ws;
-    InferenceWorkspace simd_ws;
-    model.predict_into(input, scalar_out, scalar_ws,
-                       InferenceKernel::Scalar);
-    model.predict_into(input, simd_out, simd_ws, InferenceKernel::Simd);
-    expect_bit_identical(simd_out, scalar_out,
-                         "topology trial " + std::to_string(trial));
+    Matrix out;
+    InferenceWorkspace ws;
+    model.predict_into(input, out, ws);
+    expect_bits_equal(out, reference_predict(model, input),
+                      "topology trial " + std::to_string(trial));
   }
 }
 

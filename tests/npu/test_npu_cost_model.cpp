@@ -141,7 +141,8 @@ TEST(NpuDeviceCostModel, ModelAwareLatencyMatchesSubmitDoneAt) {
   const double now = 3.25;
   const auto job = device.submit(compiled, input, now);
   // (now + latency) - now re-rounds, so allow the device's own ready()
-  // epsilon; the hiai facade pin (test_hiai) checks the polling contract.
+  // epsilon; NpuDevice.ReadyAtSubmitTimePlusLatency checks the polling
+  // contract.
   EXPECT_NEAR(device.completion_time(job) - now,
               device.latency_s(compiled, input.rows()), 1e-12);
 }

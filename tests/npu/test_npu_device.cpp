@@ -132,6 +132,22 @@ TEST(NpuDevice, AsyncJobLifecycle) {
   EXPECT_THROW(device.ready(job, done), InvalidArgument);  // consumed
 }
 
+TEST(NpuDevice, ReadyAtSubmitTimePlusLatency) {
+  // The governor's polling contract: a submitted job is not ready at
+  // submit, is ready exactly `latency_s` later (the busy time it charges),
+  // and then yields one output row per input row.
+  NpuDevice device;
+  const CompiledModel compiled = CompiledModel::compile(small_model());
+  const double now = 2.5;
+  const auto job = device.submit(compiled, random_batch(2, 21, 4), now);
+  EXPECT_FALSE(device.ready(job, now));
+  const double ready_at = now + device.latency_s(compiled, 2);
+  ASSERT_TRUE(device.ready(job, ready_at));
+  const nn::Matrix result = device.take_result(job, ready_at);
+  EXPECT_EQ(result.rows(), 2u);
+  EXPECT_EQ(result.cols(), 8u);
+}
+
 TEST(NpuDevice, ResultMatchesCompiledInference) {
   NpuDevice device;
   const CompiledModel compiled = CompiledModel::compile(small_model());

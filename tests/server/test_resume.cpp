@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -196,6 +197,113 @@ TEST(ServerResume, ResumeUnderValidationReportsNoViolations) {
         << "device " << m.device_id;
   }
   std::filesystem::remove_all(dir);
+}
+
+/// Copy every shard checkpoint in `from` over the same file in `to`.
+void copy_checkpoints(const std::string& from, const std::string& to) {
+  for (const auto& entry : std::filesystem::directory_iterator(from)) {
+    if (entry.path().extension() != ".ckpt") continue;
+    std::filesystem::copy_file(
+        entry.path(), std::filesystem::path(to) / entry.path().filename(),
+        std::filesystem::copy_options::overwrite_existing);
+  }
+}
+
+/// Wait until the client has seen `count` events of `type`.
+void await_events(ServiceClient& client, MsgType type, std::size_t count) {
+  std::size_t seen = 0;
+  std::vector<ClientEvent> events;
+  while (seen < count) {
+    events.clear();
+    ASSERT_GT(client.poll_wait(events, 30'000), 0u);
+    for (const ClientEvent& ev : events) {
+      ASSERT_NE(ev.type, MsgType::kError) << ev.error.message;
+      if (ev.type == type) ++seen;
+    }
+  }
+}
+
+TEST(ServerResume, StaleCheckpointAfterRetirementsResumes) {
+  // A crash can land after devices retired (WAL) but before the next
+  // checkpoint, which then still lists them as live. Modeled by putting a
+  // mid-run checkpoint back after a resumed run finished: resume must
+  // treat the WAL as authority, not fail, and keep every outcome intact.
+  const std::vector<std::uint64_t> ids = {0, 1, 2};
+  const std::string dir = scratch_dir("stale");
+  const std::string stale = scratch_dir("stale_ckpt");
+  run_and_interrupt(dir, ids);
+  copy_checkpoints(dir, stale);
+
+  ServerConfig rc = durable_config(dir);
+  rc.resume = true;
+  for (int pass = 0; pass < 2; ++pass) {
+    GovernorServer resumed(rc);
+    resumed.start();
+    resumed.wait_drained();
+    resumed.stop();
+    EXPECT_EQ(resumed.stats().devices_live, 0u) << "pass " << pass;
+    copy_checkpoints(stale, dir);
+  }
+
+  const auto retired = read_retired_devices(dir, rc.nshards);
+  const auto ref = reference_digests(ids);
+  ASSERT_EQ(retired.size(), ids.size());
+  for (const RetireMsg& m : retired) {
+    EXPECT_EQ(m.digest, ref.at(m.device_id).digest)
+        << "device " << m.device_id;
+  }
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(stale);
+}
+
+TEST(ServerResume, ReRegistrationAfterCheckpointRestartsFromTickZero) {
+  // Device 0 runs (periodic checkpoints capture it), retires, and is
+  // registered again with another scenario; the crash lands before a
+  // newer checkpoint. Resume must restart the new registration from tick
+  // zero, not continue the old one from the stale checkpoint.
+  const std::string dir = scratch_dir("rereg");
+  const std::string stale = scratch_dir("rereg_ckpt");
+  DeviceScenarioOptions short_run = device_opts();
+  short_run.max_duration_s = 2.0;
+  const scenario::ScenarioSpec first =
+      make_device_scenario(kSeed, 0, short_run);
+  const scenario::ScenarioSpec second =
+      make_device_scenario(kSeed + 1, 0, device_opts());
+  ServerConfig sc = durable_config(dir);
+  sc.nshards = 1;
+  {
+    GovernorServer server(sc);
+    server.start();
+    ServiceClient client(server.connect_local());
+    client.register_device(0, first.serialize());
+    await_events(client, MsgType::kRetire, 1);
+    // The shard is empty now, so no checkpoint replaces this one.
+    copy_checkpoints(dir, stale);
+    client.register_device(0, second.serialize());
+    await_events(client, MsgType::kRegisterAck, 1);
+    server.stop();
+  }
+  copy_checkpoints(stale, dir);
+
+  ServerConfig rc = sc;
+  rc.resume = true;
+  GovernorServer resumed(rc);
+  resumed.start();
+  resumed.wait_drained();
+  resumed.stop();
+
+  // Both registrations of device 0 retire once, each with its own
+  // scenario's digest.
+  std::multiset<std::uint64_t> got;
+  for (const RetireMsg& m : read_retired_devices(dir, rc.nshards)) {
+    got.insert(m.digest);
+  }
+  const std::multiset<std::uint64_t> want = {
+      run_reference_device(first, 0, kPolicySeed, kEpochTicks).digest,
+      run_reference_device(second, 0, kPolicySeed, kEpochTicks).digest};
+  EXPECT_EQ(got, want);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(stale);
 }
 
 TEST(ServerResume, RefusesCheckpointFromDifferentConfiguration) {

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "npu/inference_backend.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 
@@ -13,7 +12,7 @@
 // transport: registration/ack/action/retire lifecycle, error replies, and
 // the PR's headline contract — a shard serving K tenants through one
 // aggregated NPU pass per tick retires every device with digests
-// bit-identical to K solo rollouts, across every inference backend.
+// bit-identical to K solo rollouts.
 namespace topil::server {
 namespace {
 
@@ -95,18 +94,6 @@ TEST(GovernorService, CrossTenantBatchingIsBitIdenticalToSoloRollouts) {
   const StatsReplyMsg stats = server.stats();
   EXPECT_GT(stats.npu_rows, 0u);
   EXPECT_GT(stats.npu_rows, stats.npu_device_calls);
-}
-
-TEST(GovernorService, BitIdentityHoldsAcrossInferenceBackends) {
-  const std::vector<std::uint64_t> ids = {0, 1, 2, 3};
-  for (const npu::BackendKind kind :
-       {npu::BackendKind::Npu, npu::BackendKind::CpuSimd,
-        npu::BackendKind::Auto}) {
-    SCOPED_TRACE(npu::backend_kind_name(kind));
-    npu::ScopedBackend scoped(kind);
-    GovernorServer server(base_config());
-    expect_matches_reference(serve_devices(server, ids), ids);
-  }
 }
 
 TEST(GovernorService, ShardCountDoesNotChangeDigests) {

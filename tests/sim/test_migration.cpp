@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "apps/app_database.hpp"
 #include "common/error.hpp"
 #include "sim/system_sim.hpp"
@@ -37,9 +40,10 @@ TEST(MigrationPenalty, RejectsNegativeIntensity) {
 
 // The paper's worst-case experiment: periodically migrating between the
 // clusters every 500 ms costs compute-bound apps well under 1% and
-// memory-bound apps a few percent.
+// memory-bound apps a few percent. The app name is a std::string so the
+// test's listed name prints it by value rather than as a pointer address.
 class WorstCaseMigration : public ::testing::TestWithParam<
-                               std::pair<const char*, double>> {};
+                               std::pair<std::string, double>> {};
 
 TEST_P(WorstCaseMigration, OverheadWithinPaperBallpark) {
   const auto [app_name, max_overhead] = GetParam();
@@ -95,10 +99,10 @@ TEST_P(WorstCaseMigration, OverheadWithinPaperBallpark) {
 
 INSTANTIATE_TEST_SUITE_P(
     Apps, WorstCaseMigration,
-    ::testing::Values(std::make_pair("swaptions", 0.01),
-                      std::make_pair("blackscholes", 0.05),
-                      std::make_pair("canneal", 0.06),
-                      std::make_pair("heat-3d", 0.04)),
+    ::testing::Values(std::make_pair(std::string("swaptions"), 0.01),
+                      std::make_pair(std::string("blackscholes"), 0.05),
+                      std::make_pair(std::string("canneal"), 0.06),
+                      std::make_pair(std::string("heat-3d"), 0.04)),
     [](const auto& info) {
       std::string name = info.param.first;
       for (char& ch : name) {

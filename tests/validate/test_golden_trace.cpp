@@ -2,6 +2,8 @@
 
 #include "core/experiment.hpp"
 #include "governors/powersave.hpp"
+#include "governors/topil_governor.hpp"
+#include "il/pipeline.hpp"
 #include "validate/state_digest.hpp"
 #include "workloads/generator.hpp"
 
@@ -57,6 +59,53 @@ TEST(GoldenTraceTest, PowersaveScenarioMatchesGolden) {
   const std::string actual = run_digest("gts-powersave");
   EXPECT_EQ(actual, kGoldenPowersave)
       << "behavior changed; if intended, update kGoldenPowersave to "
+      << actual;
+}
+
+// The scenarios above run no network. This digest pins training and
+// inference numerics end to end: tools/topil_run's `topil-quick` policy
+// (8 scenarios, seed 13, hidden {24, 24}, 15 epochs, policy seed 0),
+// trained from scratch, drives the mixed 4-app, seed-5, 120 s run that
+// tools/ci_check.sh's determinism gate also checks against this value.
+constexpr const char* kGoldenTrainedTopIl = "92a082207e0686e9";
+
+TEST(GoldenTraceTest, TrainedTopIlPolicyMatchesGolden) {
+  const PlatformSpec platform = PlatformSpec::hikey970();
+  il::PipelineConfig training;
+  training.num_scenarios = 8;
+  training.seed = 13;
+  training.oracle.qos_fractions = {0.3, 0.6};
+  training.hidden = {24, 24};
+  training.trainer.max_epochs = 15;
+  training.trainer.patience = 15;
+  training.trainer.seed = 0;
+  training.max_examples = 4000;
+  training.jobs = 1;
+  const il::IlPipeline pipeline(platform, CoolingConfig::fan());
+  TopIlGovernor governor(
+      il::IlPolicyModel(pipeline.train(training).model, platform));
+
+  const WorkloadGenerator generator(platform);
+  WorkloadGenerator::MixedConfig mixed;
+  mixed.num_apps = 4;
+  mixed.arrival_rate_per_s = 0.05;
+  mixed.seed = 5;
+  const Workload workload =
+      generator.mixed(mixed, AppDatabase::instance().mixed_pool());
+
+  ExperimentConfig config;
+  config.cooling = CoolingConfig::fan();
+  config.max_duration_s = 120.0;
+  config.sim.seed = 5 + 0x1000;  // topil_run: --seed + 0x1000 * (rep + 1)
+  config.sim.validate = true;
+  config.sim.integrator = ThermalIntegrator::Heun;
+  const ExperimentResult result =
+      run_experiment(platform, governor, workload, config);
+  EXPECT_TRUE(result.validation->clean()) << result.validation->summary();
+  const std::string actual = digest_hex(result.validation->trace_digest);
+  EXPECT_EQ(actual, kGoldenTrainedTopIl)
+      << "training or inference numerics changed; if intended, update "
+         "kGoldenTrainedTopIl (and tools/ci_check.sh) to "
       << actual;
 }
 

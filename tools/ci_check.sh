@@ -7,14 +7,12 @@
 # run the crash-recovery gate (SIGKILL a checkpointed run and a journaled
 # fuzz campaign mid-flight, resume each, and require bit-identical final
 # digests), replay the pinned corpus through the fleet engine against the golden
-# digests (plus a perf_fleet smoke run) — with the replay repeated under
-# the cpu_simd and auto inference backends to prove the digests are
-# backend-independent — run the governor-server gate (protocol corruption
-# fuzz under the sanitizer build, a perf_server soak smoke, and a kill -9
-# + --resume digest-parity check on topil_serve), and record the PR3 perf
-# gate (Heun vs exponential
-# integrator) to BENCH_pr3.json plus the PR8 inference perf gate
-# (perf_infer) to BENCH_npu.json. Optionally run the microbenchmark suite
+# digests (plus a perf_fleet smoke run), run the governor-server gate
+# (protocol corruption fuzz under the sanitizer build, a perf_server soak
+# smoke, and a kill -9 + --resume digest-parity check on topil_serve), and
+# record the integrator perf gate (Heun vs exponential) to BENCH_pr3.json
+# plus the inference perf gate (perf_infer: production kernel vs scalar
+# reference) to BENCH_npu.json. Optionally run the microbenchmark suite
 # with a JSON report.
 #
 # Usage:
@@ -42,7 +40,7 @@
 #                   (default: 1)
 #   PERF_OUT        path for the PR3 perf record (default:
 #                   <repo>/BENCH_pr3.json); set to "" to skip the stage
-#   INFER_OUT       path for the PR8 inference perf record (default:
+#   INFER_OUT       path for the inference perf record (default:
 #                   <repo>/BENCH_npu.json); set to "" to skip the full
 #                   run (the --smoke cross-check gate still executes)
 #   BENCHMARK_OUT   if set, also run micro_substrate and write its
@@ -118,7 +116,10 @@ if [[ "${VALIDATE:-1}" != "0" ]]; then
   # topil-quick trains a small policy through the full design-time
   # pipeline. Separate cache dirs force both runs to actually train, so a
   # jobs-1 / jobs-N digest mismatch pins nondeterminism to the parallel
-  # path.
+  # path, and a jobs-1 mismatch against the golden value (the
+  # GoldenTraceTest.TrainedTopIlPolicyMatchesGolden pin) flags changed
+  # training or inference numerics.
+  trained_golden="92a082207e0686e9"
   det_tmp="$(mktemp -d)"
   trap 'rm -rf "${det_tmp}"' EXIT
   TOPIL_CACHE_DIR="${det_tmp}/cache-j1" "${run}" --governor topil-quick \
@@ -131,24 +132,12 @@ if [[ "${VALIDATE:-1}" != "0" ]]; then
     echo "determinism gate FAILED: jobs-1 and jobs-${jobs} digests differ" >&2
     exit 1
   fi
+  if [[ "$(cat "${det_tmp}/digest-j1")" != "${trained_golden}" ]]; then
+    echo "determinism gate FAILED: digest $(cat "${det_tmp}/digest-j1")" \
+         "!= golden ${trained_golden}" >&2
+    exit 1
+  fi
   echo "determinism gate OK: digest $(cat "${det_tmp}/digest-j1")"
-
-  echo "== backend gate (cpu_simd / auto vs npu training digests)"
-  # The inference backend selects only the host compute engine; every
-  # backend is bit-identical, so re-running the jobs-1 pipeline (warm
-  # cache-j1 skips re-training but replays the full evaluation rollout)
-  # under cpu_simd and auto must reproduce the npu reference digest.
-  for backend in cpu_simd auto; do
-    TOPIL_CACHE_DIR="${det_tmp}/cache-j1" "${run}" --governor topil-quick \
-      --workload mixed --apps 4 --rate 0.05 --seed 5 --duration 120 \
-      --jobs 1 --backend "${backend}" \
-      --digest-out "${det_tmp}/digest-${backend}"
-    if ! diff "${det_tmp}/digest-j1" "${det_tmp}/digest-${backend}"; then
-      echo "backend gate FAILED: ${backend} digest differs from npu" >&2
-      exit 1
-    fi
-  done
-  echo "backend gate OK: cpu_simd and auto match the npu digest"
 fi
 
 if [[ "${RECOVERY:-1}" != "0" ]]; then
@@ -220,15 +209,6 @@ if [[ "${FLEET:-1}" != "0" ]]; then
   golden="${repo_root}/tests/scenario/corpus/GOLDEN_DIGESTS"
   for fleet_batch in 4 64; do
     "${build_dir}/tools/topil_fuzz" --fleet-batch "${fleet_batch}" \
-      --jobs "${jobs}" --golden "${golden}" --replay "${corpus[@]}"
-  done
-
-  # Same corpus, same golden digests, under the cpu_simd and auto host
-  # inference backends: backend selection must never leak into simulated
-  # behavior (DESIGN.md §12's determinism contract).
-  for backend in cpu_simd auto; do
-    echo "== fleet backend replay (--backend ${backend})"
-    "${build_dir}/tools/topil_fuzz" --backend "${backend}" --fleet-batch 64 \
       --jobs "${jobs}" --golden "${golden}" --replay "${corpus[@]}"
   done
 
@@ -304,15 +284,16 @@ if [[ -n "${perf_out}" ]]; then
   "${build_dir}/bench/perf_rollout" --jobs "${jobs}" --json "${perf_out}"
 fi
 
-echo "== inference backend smoke gate (cross-engine bit-identity)"
-# perf_infer exits non-zero if any backend's outputs diverge bitwise from
-# the scalar reference, so --smoke doubles as a correctness gate.
+echo "== inference smoke gate (production kernel vs scalar reference)"
+# perf_infer exits non-zero if the production path's outputs diverge
+# bitwise from the scalar reference, so --smoke doubles as a correctness
+# gate.
 "${build_dir}/bench/perf_infer" --smoke \
   --json "${build_dir}/BENCH_npu_smoke.json"
 
 infer_out="${INFER_OUT-"${repo_root}/BENCH_npu.json"}"
 if [[ -n "${infer_out}" ]]; then
-  echo "== inference perf gate (batch x backend curves) -> ${infer_out}"
+  echo "== inference perf gate (batch-size curves) -> ${infer_out}"
   "${build_dir}/bench/perf_infer" --json "${infer_out}"
 fi
 

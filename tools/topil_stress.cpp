@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "npu/inference_backend.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 
@@ -78,8 +77,7 @@ struct Options {
       "                      digests for the bit-identity gate)\n"
       "  --deregister-after K  deregister each device after K actions\n"
       "                      (churn mode; suppresses retire digests)\n"
-      "  --smoke             tiny population for CI\n"
-      "  --backend B         npu | cpu_simd | auto host inference engine\n",
+      "  --smoke             tiny population for CI\n",
       argv0);
   std::exit(2);
 }
@@ -125,8 +123,6 @@ Options parse_args(int argc, char** argv) {
         opt.devices = 12;
         opt.clients = 3;
         opt.duration_s = 2.0;
-      } else if (arg == "--backend") {
-        npu::set_active_backend(npu::parse_backend_kind(value(i)));
       } else {
         usage(argv[0]);
       }
