@@ -1,22 +1,29 @@
-// Inference perf gate: the production dense kernel against the scalar
-// reference at each batch size for the paper's policy net (Fig. 12 shape),
-// plus ragged-shape fp16 GEMM micro-records. Writes BENCH_npu.json
-// (override with --json).
+// Dense-kernel perf gate: the production dense kernels against the scalar
+// reference for the paper's policy net (Fig. 12 shape), inference at each
+// batch size and one training step at two, plus ragged-shape fp16 GEMM
+// micro-records. Writes BENCH_npu.json (override with --json).
 //
 //   perf_infer [--smoke] [--jobs N] [--json FILE]
 //
-// Measured curves (single-threaded, per inference call):
-//   infer_scalar_b<N>    scalar reference (nn::dense_forward_reference per
-//                        layer of the compiled model)
-//   infer_simd_b<N>      production path (CompiledModel::infer_batched_into,
-//                        i.e. nn::dense_forward_simd)
-//   gemm_<in>x<out>_b<N> one fused dense layer vs the scalar reference
+// Measured curves (single-threaded, per call):
+//   infer_scalar_b<N>      scalar reference (nn::dense_forward_reference per
+//                          layer of the compiled model)
+//   infer_simd_b<N>        production path (CompiledModel::infer_batched_into,
+//                          i.e. nn::dense_forward_simd)
+//   train_step_scalar_b<N> scalar reference training step
+//                          (nn::ReferenceTraining: separate ReLU and mask
+//                          passes, nn::dense_backward_reference, Adam one
+//                          parameter at a time)
+//   train_step_simd_b<N>   production training step (Mlp::forward,
+//                          Mlp::backward, Adam::step)
+//   gemm_<in>x<out>_b<N>   one fused dense layer vs the scalar reference
 // Modeled curve (per-layer NPU cost model, not wall clock):
-//   npu_model_b<N>       "speedup" = per-row amortization vs batch 1
+//   npu_model_b<N>         "speedup" = per-row amortization vs batch 1
 //
 // Every measured record's speedup_vs_serial is vs the scalar reference at
-// the same batch size; rate_per_s is inferred rows per second. The binary
-// also cross-checks that the production path's outputs are bit-identical
+// the same batch size; rate_per_s is rows per second. The binary also
+// cross-checks that every production output (inference outputs, GEMM
+// outputs, and the weights after three training steps) is bit-identical
 // to the reference and exits non-zero on any mismatch, so CI can use
 // --smoke as a gate.
 
@@ -27,6 +34,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "nn/adam.hpp"
+#include "nn/loss.hpp"
+#include "nn/reference_training.hpp"
 #include "npu/compiled_model.hpp"
 #include "npu/npu_cost_model.hpp"
 #include "support/bench_support.hpp"
@@ -42,6 +52,7 @@ struct InferBenchConfig {
   };
   std::vector<GemmShape> gemm_shapes = {{21, 8}, {64, 64}, {33, 17}, {61, 3}};
   std::vector<std::size_t> gemm_batches = {1, 16, 64};
+  std::vector<std::size_t> train_batches = {32, 128};
   double target_ms = 20.0;  ///< calibration target per measurement
 };
 
@@ -165,6 +176,61 @@ int run(const InferBenchConfig& bench, const BenchOptions& options) {
                 model_ms * 1e3);
   }
 
+  print_header("perf_infer",
+               "training step: forward, backward, Adam (SIMD vs scalar)");
+  std::printf("\n  %-8s %12s %12s %10s\n", "batch", "scalar_us", "simd_us",
+              "simd_x");
+  constexpr double kTrainLr = 1e-3;
+  for (const std::size_t batch : bench.train_batches) {
+    const nn::Matrix x =
+        random_batch(batch, kPolicyTopology.inputs, 5000 + batch);
+    const nn::Matrix target =
+        random_batch(batch, kPolicyTopology.outputs, 6000 + batch);
+    nn::ReferenceTraining scalar(network);
+    const auto scalar_step = [&] {
+      scalar.forward_backward(x, target);
+      scalar.adam_step(kTrainLr);
+    };
+    // The production step: what Trainer::fit runs per batch.
+    nn::Mlp model(network);
+    nn::Adam optimizer(model);
+    nn::TrainingWorkspace ws;
+    nn::Matrix grad;
+    const auto simd_step = [&] {
+      model.zero_grad();
+      nn::mse_gradient(model.forward(x, ws), target, grad);
+      model.backward(x, grad, ws);
+      optimizer.step(kTrainLr);
+    };
+    // Three steps from the same weights cover Adam's changing bias
+    // corrections; then every updated weight must match bit for bit.
+    for (int step = 0; step < 3; ++step) {
+      scalar_step();
+      simd_step();
+    }
+    const std::vector<float> want = scalar.weights();
+    const std::vector<float> got = model.save_weights();
+    if (got.size() != want.size() ||
+        std::memcmp(got.data(), want.data(), got.size() * sizeof(float)) !=
+            0) {
+      std::fprintf(stderr,
+                   "FAIL: production training step updates weights "
+                   "differently from the scalar reference at batch %zu\n",
+                   batch);
+      identical = false;
+    }
+
+    const double scalar_ms = time_call_ms(scalar_step, bench.target_ms);
+    const double simd_ms = time_call_ms(simd_step, bench.target_ms);
+    const double rows = static_cast<double>(batch);
+    json.add_rate("train_step_scalar_b" + std::to_string(batch), scalar_ms, 1,
+                  1.0, rows / (scalar_ms / 1e3));
+    json.add_rate("train_step_simd_b" + std::to_string(batch), simd_ms, 1,
+                  scalar_ms / simd_ms, rows / (simd_ms / 1e3));
+    std::printf("  %-8zu %12.2f %12.2f %9.2fx\n", batch, scalar_ms * 1e3,
+                simd_ms * 1e3, scalar_ms / simd_ms);
+  }
+
   print_header("perf_infer", "ragged fp16 GEMM (fused SIMD vs scalar)");
   std::printf("\n  %-12s %-8s %12s %12s %10s\n", "shape", "batch",
               "scalar_us", "simd_us", "simd_x");
@@ -176,17 +242,25 @@ int run(const InferBenchConfig& bench, const BenchOptions& options) {
     for (const std::size_t batch : bench.gemm_batches) {
       const nn::Matrix input =
           random_batch(batch, shape.in, 9000 + shape.in + batch);
+      nn::Matrix reference;
       nn::Matrix out;
       nn::InferenceWorkspace ws;
       std::vector<float> bt;
       const double scalar_ms = time_call_ms(
           [&] {
             nn::dense_forward_reference(input, layer.weights(), layer.bias(),
-                                        out, bt, /*relu=*/false);
+                                        reference, bt, /*relu=*/false);
           },
           bench.target_ms);
       const double simd_ms = time_call_ms(
           [&] { layer_net.predict_into(input, out, ws); }, bench.target_ms);
+      if (!bit_identical(out, reference)) {
+        std::fprintf(stderr,
+                     "FAIL: fused %zux%zu layer differs from the scalar "
+                     "reference at batch %zu\n",
+                     shape.in, shape.out, batch);
+        identical = false;
+      }
       const std::string name = "gemm_" + std::to_string(shape.in) + "x" +
                                std::to_string(shape.out) + "_b" +
                                std::to_string(batch);
@@ -207,7 +281,7 @@ int run(const InferBenchConfig& bench, const BenchOptions& options) {
                  "the scalar reference\n");
     return 1;
   }
-  std::printf("\nproduction path bit-identical to the scalar reference; "
+  std::printf("\nproduction paths bit-identical to the scalar reference; "
               "records written\n");
   return 0;
 }

@@ -1,6 +1,9 @@
 #include "nn/adam.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "nn/simd_kernels.hpp"
 
 namespace topil::nn {
 
@@ -13,26 +16,30 @@ Adam::Adam(Mlp& model, Config config) : model_(&model), config_(config) {
 
 void Adam::step(double learning_rate) {
   TOPIL_REQUIRE(learning_rate > 0.0, "learning rate must be positive");
+  TOPIL_REQUIRE(model_->num_params() == m_.size(),
+                "optimizer/model parameter count mismatch");
   ++t_;
-  const double bc1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  const double t = static_cast<double>(t_);
+  const AdamCoefficients c{.beta1 = config_.beta1,
+                           .beta2 = config_.beta2,
+                           .bias_correction1 = 1.0 - std::pow(config_.beta1, t),
+                           .bias_correction2 = 1.0 - std::pow(config_.beta2, t),
+                           .learning_rate = learning_rate,
+                           .epsilon = config_.epsilon};
 
-  std::size_t idx = 0;
+  // Moments follow the flat parameter order: each layer's weights, then
+  // its bias.
+  std::size_t offset = 0;
   for (auto& layer : model_->layers()) {
-    const std::size_t n = layer.num_params();
-    for (std::size_t i = 0; i < n; ++i, ++idx) {
-      const double g = layer.grad(i);
-      m_[idx] = static_cast<float>(config_.beta1 * m_[idx] +
-                                   (1.0 - config_.beta1) * g);
-      v_[idx] = static_cast<float>(config_.beta2 * v_[idx] +
-                                   (1.0 - config_.beta2) * g * g);
-      const double m_hat = m_[idx] / bc1;
-      const double v_hat = v_[idx] / bc2;
-      *layer.param(i) -= static_cast<float>(
-          learning_rate * m_hat / (std::sqrt(v_hat) + config_.epsilon));
-    }
+    Matrix& w = layer.weights();
+    adam_update_simd(w.data(), layer.weight_grad().data(), m_.data() + offset,
+                     v_.data() + offset, w.size(), c);
+    offset += w.size();
+    std::vector<float>& b = layer.bias();
+    adam_update_simd(b.data(), layer.bias_grad().data(), m_.data() + offset,
+                     v_.data() + offset, b.size(), c);
+    offset += b.size();
   }
-  TOPIL_ASSERT(idx == m_.size(), "optimizer/model parameter count mismatch");
 }
 
 void Adam::reset() {

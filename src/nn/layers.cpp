@@ -26,19 +26,8 @@ void DenseLayer::init(Rng& rng) {
   for (float& x : b_) x = 0.0f;
 }
 
-Matrix DenseLayer::forward(const Matrix& input) {
-  cached_input_ = input;
-  return forward_inference(input);
-}
-
-Matrix DenseLayer::forward_inference(const Matrix& input) const {
-  Matrix out;
-  forward_inference_into(input, out, /*relu=*/false);
-  return out;
-}
-
-void DenseLayer::forward_inference_into(const Matrix& input, Matrix& out,
-                                        bool relu) const {
+void DenseLayer::forward_into(const Matrix& input, Matrix& out,
+                              bool relu) const {
   TOPIL_REQUIRE(input.cols() == in_, "dense layer input width mismatch");
   TOPIL_REQUIRE(&out != &input, "dense layer output must not alias input");
   out.resize(input.rows(), out_);
@@ -46,63 +35,32 @@ void DenseLayer::forward_inference_into(const Matrix& input, Matrix& out,
                      out_, out.data(), relu);
 }
 
-Matrix DenseLayer::backward(const Matrix& grad_output) {
-  TOPIL_REQUIRE(!cached_input_.empty(), "backward before forward");
-  TOPIL_REQUIRE(grad_output.rows() == cached_input_.rows() &&
+void DenseLayer::backward(const Matrix& input, const Matrix& grad_output,
+                          Matrix* grad_input,
+                          std::vector<float>& transposed) {
+  TOPIL_REQUIRE(input.cols() == in_, "dense layer input width mismatch");
+  TOPIL_REQUIRE(grad_output.rows() == input.rows() &&
                     grad_output.cols() == out_,
                 "dense layer gradient shape mismatch");
-  // dW += x^T * dy; db += column sums of dy; dx = dy * W^T.
-  const Matrix dw = cached_input_.matmul_transposed_self(grad_output);
-  for (std::size_t i = 0; i < dw_.size(); ++i) {
-    dw_.data()[i] += dw.data()[i];
+  const std::size_t rows = input.rows();
+  dense_weight_grad_simd(input.data(), rows, in_, grad_output.data(), out_,
+                         dw_.data(), db_.data());
+  if (grad_input == nullptr) return;
+  TOPIL_REQUIRE(grad_input != &input && grad_input != &grad_output,
+                "dense layer input gradient must not alias its operands");
+  transposed.resize(out_ * in_);
+  for (std::size_t k = 0; k < in_; ++k) {
+    const float* w = w_.row(k);
+    for (std::size_t j = 0; j < out_; ++j) transposed[j * in_ + k] = w[j];
   }
-  for (std::size_t r = 0; r < grad_output.rows(); ++r) {
-    const float* g = grad_output.row(r);
-    for (std::size_t c = 0; c < out_; ++c) db_[c] += g[c];
-  }
-  return grad_output.matmul_transposed_other(w_);
+  grad_input->resize(rows, in_);
+  dense_input_grad_simd(grad_output.data(), rows, out_, transposed.data(),
+                        input.data(), in_, grad_input->data());
 }
 
 void DenseLayer::zero_grad() {
   dw_.fill(0.0f);
   for (float& x : db_) x = 0.0f;
-}
-
-float* DenseLayer::param(std::size_t i) {
-  TOPIL_REQUIRE(i < num_params(), "parameter index out of range");
-  if (i < w_.size()) return w_.data() + i;
-  return b_.data() + (i - w_.size());
-}
-
-float DenseLayer::grad(std::size_t i) const {
-  TOPIL_REQUIRE(i < num_params(), "parameter index out of range");
-  if (i < dw_.size()) return dw_.data()[i];
-  return db_[i - dw_.size()];
-}
-
-Matrix ReluLayer::forward(const Matrix& input) {
-  cached_input_ = input;
-  return forward_inference(input);
-}
-
-Matrix ReluLayer::forward_inference(const Matrix& input) {
-  Matrix out = input;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (out.data()[i] < 0.0f) out.data()[i] = 0.0f;
-  }
-  return out;
-}
-
-Matrix ReluLayer::backward(const Matrix& grad_output) const {
-  TOPIL_REQUIRE(!cached_input_.empty(), "backward before forward");
-  TOPIL_REQUIRE(grad_output.rows() == cached_input_.rows() &&
-                    grad_output.cols() == cached_input_.cols(),
-                "relu gradient shape mismatch");
-  Matrix out = grad_output;
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (cached_input_.data()[i] <= 0.0f) out.data()[i] = 0.0f;
-  }
-  return out;
 }
 
 }  // namespace topil::nn

@@ -7,8 +7,10 @@
 
 namespace topil::nn {
 
-/// Fully-connected layer: y = x * W + b, with cached activations for
-/// backprop and accumulated parameter gradients.
+/// Fully-connected layer: y = x * W + b, with accumulated parameter
+/// gradients. It holds no activations: the caller keeps the batch a
+/// forward pass ran and hands it back to backward (Mlp keeps them in its
+/// TrainingWorkspace).
 class DenseLayer {
  public:
   DenseLayer(std::size_t in_features, std::size_t out_features);
@@ -16,23 +18,21 @@ class DenseLayer {
   /// Glorot/Xavier uniform initialization with the given generator.
   void init(Rng& rng);
 
-  /// Forward pass over a batch (batch x in) -> (batch x out). Caches the
-  /// input for the subsequent backward pass.
-  Matrix forward(const Matrix& input);
+  /// Forward pass over a batch (batch x in) into a caller-owned output
+  /// (`out` must not alias `input`), through the fused kernel
+  /// nn::dense_forward_simd. `relu` applies the activation inside the
+  /// kernel; the result is bit-identical to a separate ReLU pass.
+  void forward_into(const Matrix& input, Matrix& out, bool relu) const;
 
-  /// Inference-only forward pass (no caching, usable on const layers).
-  Matrix forward_inference(const Matrix& input) const;
-
-  /// Inference forward pass into a caller-owned output (`out` must not
-  /// alias `input`), through the fused kernel nn::dense_forward_simd.
-  /// `relu` applies the activation inside the kernel; the result is
-  /// bit-identical to a separate ReLU pass.
-  void forward_inference_into(const Matrix& input, Matrix& out,
-                              bool relu) const;
-
-  /// Backward pass: given dL/dy, accumulates dL/dW and dL/db and returns
-  /// dL/dx for the upstream layer.
-  Matrix backward(const Matrix& grad_output);
+  /// Backward pass for the batch `input` that ran forward: accumulates
+  /// dL/dW += input^T * grad_output and dL/db += column sums of grad_output
+  /// until zero_grad. If `grad_input` is non-null it receives the gradient
+  /// at the pre-activation of the ReLU that produced `input` (a hidden
+  /// layer's input is the previous layer's ReLU output):
+  /// grad_output * W^T, and 0 wherever input <= 0. `transposed` is scratch
+  /// for W^T, reused across calls.
+  void backward(const Matrix& input, const Matrix& grad_output,
+                Matrix* grad_input, std::vector<float>& transposed);
 
   void zero_grad();
 
@@ -46,10 +46,7 @@ class DenseLayer {
   const Matrix& weight_grad() const { return dw_; }
   const std::vector<float>& bias_grad() const { return db_; }
 
-  /// Flat views over all parameters / gradients for the optimizer.
   std::size_t num_params() const { return w_.size() + b_.size(); }
-  float* param(std::size_t i);
-  float grad(std::size_t i) const;
 
  private:
   std::size_t in_;
@@ -58,18 +55,6 @@ class DenseLayer {
   std::vector<float> b_;
   Matrix dw_;
   std::vector<float> db_;
-  Matrix cached_input_;
-};
-
-/// Element-wise ReLU with cached mask.
-class ReluLayer {
- public:
-  Matrix forward(const Matrix& input);
-  static Matrix forward_inference(const Matrix& input);
-  Matrix backward(const Matrix& grad_output) const;
-
- private:
-  Matrix cached_input_;
 };
 
 }  // namespace topil::nn

@@ -21,15 +21,15 @@ double mse(const Matrix& prediction, const Matrix& target) {
   return acc / static_cast<double>(prediction.size());
 }
 
-Matrix mse_gradient(const Matrix& prediction, const Matrix& target) {
+void mse_gradient(const Matrix& prediction, const Matrix& target,
+                  Matrix& grad) {
   check_shapes(prediction, target);
-  Matrix grad(prediction.rows(), prediction.cols());
+  grad.resize(prediction.rows(), prediction.cols());
   const float scale = 2.0f / static_cast<float>(prediction.size());
   for (std::size_t i = 0; i < prediction.size(); ++i) {
     grad.data()[i] =
         scale * (prediction.data()[i] - target.data()[i]);
   }
-  return grad;
 }
 
 }  // namespace topil::nn

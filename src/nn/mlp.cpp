@@ -9,7 +9,6 @@ Mlp::Mlp(const Topology& topology) : topology_(topology) {
   for (std::size_t width : topology.hidden) {
     TOPIL_REQUIRE(width > 0, "hidden width must be positive");
     dense_.emplace_back(prev, width);
-    relu_.emplace_back();
     prev = width;
   }
   dense_.emplace_back(prev, topology.outputs);
@@ -20,12 +19,15 @@ void Mlp::init(std::uint64_t seed) {
   for (auto& layer : dense_) layer.init(rng);
 }
 
-Matrix Mlp::forward(const Matrix& input) {
-  Matrix x = input;
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
-    x = relu_[i].forward(dense_[i].forward(x));
+const Matrix& Mlp::forward(const Matrix& input, TrainingWorkspace& ws) const {
+  ws.outputs.resize(dense_.size());
+  const Matrix* x = &input;
+  for (std::size_t i = 0; i < dense_.size(); ++i) {
+    dense_[i].forward_into(*x, ws.outputs[i],
+                           /*relu=*/i + 1 < dense_.size());
+    x = &ws.outputs[i];
   }
-  return dense_.back().forward(x);
+  return *x;
 }
 
 Matrix Mlp::predict(const Matrix& input) const {
@@ -38,19 +40,28 @@ Matrix Mlp::predict(const Matrix& input) const {
 void Mlp::predict_into(const Matrix& input, Matrix& out,
                        InferenceWorkspace& ws) const {
   const Matrix* x = &input;
-  for (std::size_t i = 0; i < relu_.size(); ++i) {
+  for (std::size_t i = 0; i + 1 < dense_.size(); ++i) {
     Matrix& activation = (i % 2 == 0) ? ws.a : ws.b;
-    dense_[i].forward_inference_into(*x, activation, /*relu=*/true);
+    dense_[i].forward_into(*x, activation, /*relu=*/true);
     x = &activation;
   }
-  dense_.back().forward_inference_into(*x, out, /*relu=*/false);
+  dense_.back().forward_into(*x, out, /*relu=*/false);
 }
 
-void Mlp::backward(const Matrix& grad_output) {
-  Matrix g = dense_.back().backward(grad_output);
-  for (std::size_t i = relu_.size(); i-- > 0;) {
-    g = dense_[i].backward(relu_[i].backward(g));
+void Mlp::backward(const Matrix& input, const Matrix& grad_output,
+                   TrainingWorkspace& ws) {
+  TOPIL_REQUIRE(ws.outputs.size() == dense_.size() &&
+                    ws.outputs.front().rows() == input.rows(),
+                "backward without a matching forward");
+  // Layer i > 0 writes the gradient at layer i-1's pre-activation (its
+  // input's ReLU mask fused in); layer 0's input gradient is not needed.
+  const Matrix* g = &grad_output;
+  for (std::size_t i = dense_.size() - 1; i > 0; --i) {
+    Matrix& grad_input = (i % 2 == 0) ? ws.grad_a : ws.grad_b;
+    dense_[i].backward(ws.outputs[i - 1], *g, &grad_input, ws.transposed);
+    g = &grad_input;
   }
+  dense_[0].backward(input, *g, nullptr, ws.transposed);
 }
 
 void Mlp::zero_grad() {

@@ -27,6 +27,21 @@ struct InferenceWorkspace {
   Matrix b;
 };
 
+/// Reusable buffers of one training step (forward + backward); the trainer
+/// keeps one alive so steady-state steps allocate nothing. The model itself
+/// holds no training state, so copying or sharing an Mlp never copies or
+/// shares these. Must not be shared between threads.
+struct TrainingWorkspace {
+  /// Output of every layer; a hidden layer's is post-ReLU, so it is also
+  /// the next layer's input and that layer's backward ReLU mask.
+  std::vector<Matrix> outputs;
+  /// Ping-pong gradients at the hidden pre-activations.
+  Matrix grad_a;
+  Matrix grad_b;
+  /// W^T of the layer being back-propagated.
+  std::vector<float> transposed;
+};
+
 /// Fully-connected multi-layer perceptron: ReLU on hidden layers, linear
 /// output (the paper's regression head over per-core mapping ratings).
 class Mlp {
@@ -36,8 +51,10 @@ class Mlp {
   /// (Re-)initialize all weights with the given seed.
   void init(std::uint64_t seed);
 
-  /// Training forward pass over a batch (caches activations).
-  Matrix forward(const Matrix& input);
+  /// Training forward pass over a batch: keeps every layer's output in
+  /// `ws` for backward and returns the network output (held by `ws`).
+  /// Bit-identical to `predict`.
+  const Matrix& forward(const Matrix& input, TrainingWorkspace& ws) const;
   /// Inference forward pass (no caches; thread-safe on a const model).
   Matrix predict(const Matrix& input) const;
   /// Inference into a caller-owned output with reusable buffers; `out`
@@ -45,8 +62,10 @@ class Mlp {
   void predict_into(const Matrix& input, Matrix& out,
                     InferenceWorkspace& ws) const;
 
-  /// Backprop from dL/d(output); accumulates parameter gradients.
-  void backward(const Matrix& grad_output);
+  /// Backprop from dL/d(output) for the batch `input` that the last
+  /// forward(input, ws) ran; accumulates parameter gradients.
+  void backward(const Matrix& input, const Matrix& grad_output,
+                TrainingWorkspace& ws);
   void zero_grad();
 
   const Topology& topology() const { return topology_; }
@@ -62,7 +81,6 @@ class Mlp {
  private:
   Topology topology_;
   std::vector<DenseLayer> dense_;
-  std::vector<ReluLayer> relu_;
 };
 
 }  // namespace topil::nn

@@ -143,4 +143,19 @@ void dense_forward_reference(const Matrix& x, const Matrix& w,
   }
 }
 
+void dense_backward_reference(const Matrix& x, const Matrix& w,
+                              const Matrix& dy, Matrix& dw,
+                              std::vector<float>& db, Matrix* dx) {
+  TOPIL_REQUIRE(dw.rows() == w.rows() && dw.cols() == w.cols() &&
+                    db.size() == w.cols(),
+                "gradient shape mismatch");
+  const Matrix sum = x.matmul_transposed_self(dy);
+  for (std::size_t i = 0; i < dw.size(); ++i) dw.data()[i] += sum.data()[i];
+  for (std::size_t r = 0; r < dy.rows(); ++r) {
+    const float* g = dy.row(r);
+    for (std::size_t c = 0; c < db.size(); ++c) db[c] += g[c];
+  }
+  if (dx != nullptr) *dx = dy.matmul_transposed_other(w);
+}
+
 }  // namespace topil::nn

@@ -43,9 +43,10 @@ class Matrix {
   /// is identical to `matmul`, so results match bit-for-bit.
   void matmul_into(const Matrix& other, Matrix& out,
                    std::vector<float>& bt_scratch) const;
-  /// out = this^T * other.
+  /// out = this^T * other, skipping zero elements of this (scalar
+  /// reference only, see dense_backward_reference).
   Matrix matmul_transposed_self(const Matrix& other) const;
-  /// out = this * other^T.
+  /// out = this * other^T (scalar reference only).
   Matrix matmul_transposed_other(const Matrix& other) const;
 
  private:
@@ -62,5 +63,16 @@ class Matrix {
 void dense_forward_reference(const Matrix& x, const Matrix& w,
                              const std::vector<float>& bias, Matrix& out,
                              std::vector<float>& bt_scratch, bool relu);
+
+/// Scalar reference for one dense layer's backward pass: dw += x^T * dy
+/// (matmul_transposed_self, then an add pass), db += column sums of dy row
+/// by row, and, if `dx` is non-null, dx = dy * w^T (matmul_transposed_other)
+/// with no ReLU mask; a network reference masks dx by the upstream
+/// pre-activations in a separate `z <= 0` pass. DenseLayer::backward runs
+/// the same per-element operation sequences through the SIMD kernels; tests
+/// and perf_infer compare it against this bit for bit.
+void dense_backward_reference(const Matrix& x, const Matrix& w,
+                              const Matrix& dy, Matrix& dw,
+                              std::vector<float>& db, Matrix* dx);
 
 }  // namespace topil::nn

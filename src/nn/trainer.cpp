@@ -10,16 +10,17 @@ namespace topil::nn {
 
 namespace {
 
-Matrix gather_rows(const Matrix& source, const std::vector<std::size_t>& idx,
-                   std::size_t begin, std::size_t end) {
+/// Rows idx[begin, end) of `source` into `out` (resized; its allocation is
+/// reused).
+void gather_rows(const Matrix& source, const std::vector<std::size_t>& idx,
+                 std::size_t begin, std::size_t end, Matrix& out) {
   TOPIL_ASSERT(begin < end && end <= idx.size(), "bad gather range");
-  Matrix out(end - begin, source.cols());
+  out.resize(end - begin, source.cols());
   for (std::size_t r = begin; r < end; ++r) {
     const float* src = source.row(idx[r]);
     float* dst = out.row(r - begin);
     for (std::size_t c = 0; c < source.cols(); ++c) dst[c] = src[c];
   }
-  return out;
 }
 
 }  // namespace
@@ -62,8 +63,10 @@ TrainResult Trainer::fit(Mlp& model, const Matrix& inputs,
   const std::size_t n_train = inputs.rows() - n_val;
   TOPIL_REQUIRE(n_train >= 1, "no training rows after validation split");
 
-  const Matrix val_x = gather_rows(inputs, order, n_train, order.size());
-  const Matrix val_y = gather_rows(targets, order, n_train, order.size());
+  Matrix val_x;
+  Matrix val_y;
+  gather_rows(inputs, order, n_train, order.size(), val_x);
+  gather_rows(targets, order, n_train, order.size(), val_y);
 
   std::vector<std::size_t> train_idx(order.begin(),
                                      order.begin() + n_train);
@@ -72,6 +75,15 @@ TrainResult Trainer::fit(Mlp& model, const Matrix& inputs,
   double best_val = std::numeric_limits<double>::infinity();
   std::vector<float> best_weights = model.save_weights();
   std::size_t epochs_since_best = 0;
+
+  // Buffers reused by every batch and epoch: steady-state steps allocate
+  // nothing.
+  Matrix bx;
+  Matrix by;
+  Matrix grad;
+  TrainingWorkspace train_ws;
+  Matrix val_pred;
+  InferenceWorkspace val_ws;
 
   for (std::size_t epoch = 0; epoch < config_.max_epochs; ++epoch) {
     rng.shuffle(train_idx);
@@ -84,20 +96,22 @@ TrainResult Trainer::fit(Mlp& model, const Matrix& inputs,
     for (std::size_t begin = 0; begin < n_train;
          begin += config_.batch_size) {
       const std::size_t end = std::min(begin + config_.batch_size, n_train);
-      const Matrix bx = gather_rows(inputs, train_idx, begin, end);
-      const Matrix by = gather_rows(targets, train_idx, begin, end);
+      gather_rows(inputs, train_idx, begin, end, bx);
+      gather_rows(targets, train_idx, begin, end, by);
 
       model.zero_grad();
-      const Matrix pred = model.forward(bx);
+      const Matrix& pred = model.forward(bx, train_ws);
       train_loss_acc += mse(pred, by);
       ++train_batches;
-      model.backward(mse_gradient(pred, by));
+      mse_gradient(pred, by, grad);
+      model.backward(bx, grad, train_ws);
       optimizer.step(lr);
     }
 
     const double train_loss =
         train_loss_acc / static_cast<double>(train_batches);
-    const double val_loss = evaluate(model, val_x, val_y);
+    model.predict_into(val_x, val_pred, val_ws);
+    const double val_loss = mse(val_pred, val_y);
     result.train_loss_history.push_back(train_loss);
     result.validation_loss_history.push_back(val_loss);
     result.epochs_run = epoch + 1;

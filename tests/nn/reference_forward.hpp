@@ -45,4 +45,14 @@ inline void expect_bits_equal(const Matrix& got, const Matrix& want,
   }
 }
 
+inline void expect_bits_equal(const std::vector<float>& got,
+                              const std::vector<float>& want,
+                              const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(float_bits(got[i]), float_bits(want[i]))
+        << label << " element " << i;
+  }
+}
+
 }  // namespace topil::nn

@@ -29,8 +29,10 @@ TEST(Adam, FirstStepMovesByLearningRate) {
   Matrix x(1, 1, 1.0f);
   Matrix target(1, 1, 100.0f);  // large error -> all gradients nonzero
   model.zero_grad();
-  const Matrix pred = model.forward(x);
-  model.backward(mse_gradient(pred, target));
+  TrainingWorkspace ws;
+  Matrix grad;
+  mse_gradient(model.forward(x, ws), target, grad);
+  model.backward(x, grad, ws);
 
   Adam opt(model);
   opt.step(0.01);
@@ -61,11 +63,14 @@ TEST(Adam, ConvergesOnLinearRegression) {
     y.at(r, 0) = static_cast<float>(2 * a - 3 * b + 1);
   }
   double loss = 0.0;
+  TrainingWorkspace ws;
+  Matrix grad;
   for (int i = 0; i < 500; ++i) {
     model.zero_grad();
-    const Matrix pred = model.forward(x);
+    const Matrix& pred = model.forward(x, ws);
     loss = mse(pred, y);
-    model.backward(mse_gradient(pred, y));
+    mse_gradient(pred, y, grad);
+    model.backward(x, grad, ws);
     opt.step(0.05);
   }
   EXPECT_LT(loss, 1e-4);
@@ -91,11 +96,14 @@ TEST(Adam, BeatsPlainScaleOnIllConditionedProblem) {
     y.at(r, 0) = static_cast<float>(10 * a + b);
   }
   double loss = 0.0;
+  TrainingWorkspace ws;
+  Matrix grad;
   for (int i = 0; i < 1500; ++i) {
     model.zero_grad();
-    const Matrix pred = model.forward(x);
+    const Matrix& pred = model.forward(x, ws);
     loss = mse(pred, y);
-    model.backward(mse_gradient(pred, y));
+    mse_gradient(pred, y, grad);
+    model.backward(x, grad, ws);
     opt.step(0.03);
   }
   EXPECT_LT(loss, 1e-3);
@@ -108,7 +116,10 @@ TEST(Adam, ResetClearsMoments) {
   Matrix x(1, 2, 1.0f);
   Matrix y(1, 1, 5.0f);
   model.zero_grad();
-  model.backward(mse_gradient(model.forward(x), y));
+  TrainingWorkspace ws;
+  Matrix grad;
+  mse_gradient(model.forward(x, ws), y, grad);
+  model.backward(x, grad, ws);
   opt.step(0.01);
   opt.reset();
   EXPECT_EQ(opt.steps_taken(), 0u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "nn/loss.hpp"
 
@@ -42,7 +44,8 @@ TEST(Mlp, PredictMatchesForward) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     x.data()[i] = static_cast<float>(rng.uniform(-1, 1));
   }
-  const Matrix a = model.forward(x);
+  TrainingWorkspace ws;
+  const Matrix& a = model.forward(x, ws);
   const Matrix b = model.predict(x);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -84,24 +87,52 @@ TEST(Mlp, GradientCheckThroughWholeNetwork) {
   }
 
   model.zero_grad();
-  const Matrix pred = model.forward(x);
-  model.backward(mse_gradient(pred, target));
+  TrainingWorkspace ws;
+  Matrix grad;
+  mse_gradient(model.forward(x, ws), target, grad);
+  model.backward(x, grad, ws);
 
-  // Finite differences on a sample of parameters in every layer.
+  // Finite differences on a sample of weights and biases in every layer,
+  // through the flat views the optimizer updates.
   const float eps = 1e-3f;
+  const auto check = [&](float& p, float analytic) {
+    const float orig = p;
+    p = orig + eps;
+    const double hi = mse(model.predict(x), target);
+    p = orig - eps;
+    const double lo = mse(model.predict(x), target);
+    p = orig;
+    EXPECT_NEAR(analytic, (hi - lo) / (2 * eps), 2e-3);
+  };
+  // Flat parameter index i is weight i, or bias i - weights().size().
   for (auto& layer : model.layers()) {
-    for (std::size_t i = 0; i < layer.num_params();
-         i += std::max<std::size_t>(1, layer.num_params() / 7)) {
-      float* p = layer.param(i);
-      const float orig = *p;
-      *p = orig + eps;
-      const double hi = mse(model.predict(x), target);
-      *p = orig - eps;
-      const double lo = mse(model.predict(x), target);
-      *p = orig;
-      EXPECT_NEAR(layer.grad(i), (hi - lo) / (2 * eps), 2e-3);
+    const std::size_t n_w = layer.weights().size();
+    const std::size_t n = layer.num_params();
+    for (std::size_t i = 0; i < n; i += std::max<std::size_t>(1, n / 7)) {
+      if (i < n_w) {
+        check(layer.weights().data()[i], layer.weight_grad().data()[i]);
+      } else {
+        check(layer.bias()[i - n_w], layer.bias_grad()[i - n_w]);
+      }
     }
   }
+}
+
+TEST(Mlp, BackwardWithoutForwardThrows) {
+  Topology t;
+  t.inputs = 2;
+  t.hidden = {3};
+  t.outputs = 1;
+  Mlp model(t);
+  model.init(1);
+  TrainingWorkspace ws;
+  const Matrix x(4, 2, 1.0f);
+  const Matrix grad(4, 1, 1.0f);
+  EXPECT_THROW(model.backward(x, grad, ws), InvalidArgument);
+  model.forward(x, ws);
+  EXPECT_THROW(model.backward(Matrix(2, 2, 1.0f), grad, ws),
+               InvalidArgument);
+  EXPECT_NO_THROW(model.backward(x, grad, ws));
 }
 
 TEST(Mlp, NoHiddenLayersIsLinearModel) {
@@ -142,7 +173,8 @@ TEST(MseLoss, ValueAndGradient) {
   target.at(0, 0) = 0.0f;
   target.at(0, 1) = 1.0f;
   EXPECT_NEAR(mse(pred, target), (1.0 + 4.0) / 2.0, 1e-9);
-  const Matrix g = mse_gradient(pred, target);
+  Matrix g;
+  mse_gradient(pred, target, g);
   EXPECT_FLOAT_EQ(g.at(0, 0), 2.0f * 1.0f / 2.0f);
   EXPECT_FLOAT_EQ(g.at(0, 1), 2.0f * 2.0f / 2.0f);
   Matrix wrong(2, 1);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
@@ -87,22 +89,31 @@ TEST_P(MlpTopologySweep, GradientsMatchFiniteDifferences) {
   const Matrix target = random_batch(2, topo().outputs, 4);
 
   model.zero_grad();
-  const Matrix pred = model.forward(x);
-  model.backward(mse_gradient(pred, target));
+  TrainingWorkspace ws;
+  Matrix grad;
+  mse_gradient(model.forward(x, ws), target, grad);
+  model.backward(x, grad, ws);
 
   const float eps = 1e-3f;
+  const auto check = [&](float& p, float analytic) {
+    const float orig = p;
+    p = orig + eps;
+    const double hi = mse(model.predict(x), target);
+    p = orig - eps;
+    const double lo = mse(model.predict(x), target);
+    p = orig;
+    EXPECT_NEAR(analytic, (hi - lo) / (2 * eps), 5e-3);
+  };
+  // Flat parameter index i is weight i, or bias i - weights().size().
   for (auto& layer : model.layers()) {
-    const std::size_t stride =
-        std::max<std::size_t>(1, layer.num_params() / 5);
-    for (std::size_t i = 0; i < layer.num_params(); i += stride) {
-      float* p = layer.param(i);
-      const float orig = *p;
-      *p = orig + eps;
-      const double hi = mse(model.predict(x), target);
-      *p = orig - eps;
-      const double lo = mse(model.predict(x), target);
-      *p = orig;
-      EXPECT_NEAR(layer.grad(i), (hi - lo) / (2 * eps), 5e-3);
+    const std::size_t n_w = layer.weights().size();
+    const std::size_t n = layer.num_params();
+    for (std::size_t i = 0; i < n; i += std::max<std::size_t>(1, n / 5)) {
+      if (i < n_w) {
+        check(layer.weights().data()[i], layer.weight_grad().data()[i]);
+      } else {
+        check(layer.bias()[i - n_w], layer.bias_grad()[i - n_w]);
+      }
     }
   }
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -109,6 +111,48 @@ TEST(Trainer, DeterministicForSameSeed) {
   Trainer(config).fit(a, x, y);
   Trainer(config).fit(b, x, y);
   EXPECT_EQ(a.save_weights(), b.save_weights());
+}
+
+void expect_same_fit(const Mlp& got, const TrainResult& got_result,
+                     const Mlp& want, const TrainResult& want_result) {
+  const std::vector<float> a = got.save_weights();
+  const std::vector<float> b = want.save_weights();
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0);
+  EXPECT_EQ(got_result.epochs_run, want_result.epochs_run);
+  EXPECT_EQ(got_result.best_epoch, want_result.best_epoch);
+  const auto same_bits = [](const std::vector<double>& x,
+                            const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+  };
+  EXPECT_TRUE(same_bits(got_result.train_loss_history,
+                        want_result.train_loss_history));
+  EXPECT_TRUE(same_bits(got_result.validation_loss_history,
+                        want_result.validation_loss_history));
+}
+
+// Nothing of one fit may leak into the next: refitting a trained model, or
+// fitting a copy of one, must reproduce a fresh model's fit bit for bit.
+// 150 rows leave 120 training rows, so every epoch ends on a ragged batch.
+TEST(Trainer, RefitAndCopyMatchFreshFitBitwise) {
+  Matrix x, y;
+  make_dataset(150, x, y, 11);
+  TrainerConfig config;
+  config.max_epochs = 4;
+  config.batch_size = 32;
+  config.seed = 5;
+
+  Mlp fresh(small());
+  const TrainResult want = Trainer(config).fit(fresh, x, y);
+
+  Mlp model(small());
+  Trainer(config).fit(model, x, y);
+  Mlp copy = model;
+  const TrainResult refit = Trainer(config).fit(model, x, y);
+  expect_same_fit(model, refit, fresh, want);
+  const TrainResult copy_fit = Trainer(config).fit(copy, x, y);
+  expect_same_fit(copy, copy_fit, fresh, want);
 }
 
 TEST(Trainer, SeedChangesResult) {

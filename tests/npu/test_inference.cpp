@@ -149,7 +149,7 @@ TEST(InferencePath, AggregatedFlushBitIdenticalToReference) {
 }
 
 TEST(InferencePath, TrainingForwardBitIdenticalToReference) {
-  // Mlp::forward (the training pass, which caches activations for
+  // Mlp::forward (the training pass, which keeps every layer's output for
   // backprop) runs the same fused kernel as inference.
   Rng shapes(7);
   for (int trial = 0; trial < 8; ++trial) {
@@ -158,7 +158,8 @@ TEST(InferencePath, TrainingForwardBitIdenticalToReference) {
     const std::size_t rows =
         static_cast<std::size_t>(shapes.uniform_int(1, 70));
     const nn::Matrix input = random_batch(rows, topology.inputs, 900 + trial);
-    expect_bits_equal(model.forward(input), reference_predict(model, input),
+    nn::TrainingWorkspace ws;
+    expect_bits_equal(model.forward(input, ws), reference_predict(model, input),
                       "trial " + std::to_string(trial));
   }
 }

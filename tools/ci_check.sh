@@ -2,18 +2,19 @@
 # Clean-build CI check: configure a fresh build tree with strict warnings,
 # build everything, run the full test suite, repeat the tier-1 tests under
 # ASan+UBSan in a separate build tree, run the validation/determinism gate
-# (invariant-checked golden scenarios + serial-vs-parallel trace digests),
-# run a bounded differential-fuzzing campaign under the sanitizer build,
-# run the crash-recovery gate (SIGKILL a checkpointed run and a journaled
-# fuzz campaign mid-flight, resume each, and require bit-identical final
-# digests), replay the pinned corpus through the fleet engine against the golden
-# digests (plus a perf_fleet smoke run), run the governor-server gate
+# (invariant-checked golden scenarios + serial-vs-parallel trace digests +
+# the benchmark's design check on concurrent training flows), run a bounded
+# differential-fuzzing campaign under the sanitizer build, run the
+# crash-recovery gate (SIGKILL a checkpointed run and a journaled fuzz
+# campaign mid-flight, resume each, and require bit-identical final
+# digests), replay the pinned corpus through the fleet engine against the
+# golden digests (plus a perf_fleet smoke run), run the governor-server gate
 # (protocol corruption fuzz under the sanitizer build, a perf_server soak
 # smoke, and a kill -9 + --resume digest-parity check on topil_serve), and
 # record the integrator perf gate (Heun vs exponential) to BENCH_pr3.json
-# plus the inference perf gate (perf_infer: production kernel vs scalar
-# reference) to BENCH_npu.json. Optionally run the microbenchmark suite
-# with a JSON report.
+# plus the dense-kernel perf gate (perf_infer: production inference and
+# training kernels vs scalar reference) to BENCH_npu.json. Optionally run
+# the microbenchmark suite with a JSON report.
 #
 # Usage:
 #   tools/ci_check.sh [build-dir]
@@ -138,6 +139,14 @@ if [[ "${VALIDATE:-1}" != "0" ]]; then
     exit 1
   fi
   echo "determinism gate OK: digest $(cat "${det_tmp}/digest-j1")"
+
+  echo "== determinism gate: benchmark design check (perfbench)"
+  # The design workload runs three design flows (dataset, training,
+  # DAgger) concurrently and fails unless they give bit-identical losses,
+  # so it catches training state shared across threads. It builds its own
+  # tree under .bench_build/ in the repo root.
+  (cd "${repo_root}" && python3 perfbench/run.py --workload design --seed 1 \
+    --seconds 3 --trace 0)
 fi
 
 if [[ "${RECOVERY:-1}" != "0" ]]; then
@@ -284,16 +293,16 @@ if [[ -n "${perf_out}" ]]; then
   "${build_dir}/bench/perf_rollout" --jobs "${jobs}" --json "${perf_out}"
 fi
 
-echo "== inference smoke gate (production kernel vs scalar reference)"
-# perf_infer exits non-zero if the production path's outputs diverge
-# bitwise from the scalar reference, so --smoke doubles as a correctness
-# gate.
+echo "== dense-kernel smoke gate (production kernels vs scalar reference)"
+# perf_infer exits non-zero if any production result (inference and GEMM
+# outputs, weights after three training steps) diverges bitwise from the
+# scalar reference, so --smoke doubles as a correctness gate.
 "${build_dir}/bench/perf_infer" --smoke \
   --json "${build_dir}/BENCH_npu_smoke.json"
 
 infer_out="${INFER_OUT-"${repo_root}/BENCH_npu.json"}"
 if [[ -n "${infer_out}" ]]; then
-  echo "== inference perf gate (batch-size curves) -> ${infer_out}"
+  echo "== dense-kernel perf gate (batch-size curves) -> ${infer_out}"
   "${build_dir}/bench/perf_infer" --json "${infer_out}"
 fi
 
