@@ -7,14 +7,6 @@
 
 namespace topil {
 
-double PhaseSpec::ips(ClusterId cluster, double freq_ghz) const {
-  TOPIL_REQUIRE(cluster < perf.size(), "no perf data for cluster");
-  TOPIL_REQUIRE(freq_ghz > 0.0, "frequency must be positive");
-  const ClusterPerf& p = perf[cluster];
-  const double ns_per_inst = p.cpi / freq_ghz + p.mem_ns_per_inst;
-  return 1e9 / ns_per_inst;
-}
-
 double PhaseSpec::duration_s(ClusterId cluster, double freq_ghz) const {
   return instructions / ips(cluster, freq_ghz);
 }

@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "platform/platform.hpp"
 
 namespace topil {
@@ -36,8 +37,14 @@ struct PhaseSpec {
   double l2d_per_inst = 0.0;      ///< L2 data-cache accesses per instruction
 
   /// Instructions per second when running alone on a core of `cluster`
-  /// at `freq_ghz`.
-  double ips(ClusterId cluster, double freq_ghz) const;
+  /// at `freq_ghz`. Inline: the simulator tick calls it for every process.
+  double ips(ClusterId cluster, double freq_ghz) const {
+    TOPIL_REQUIRE(cluster < perf.size(), "no perf data for cluster");
+    TOPIL_REQUIRE(freq_ghz > 0.0, "frequency must be positive");
+    const ClusterPerf& p = perf[cluster];
+    const double ns_per_inst = p.cpi / freq_ghz + p.mem_ns_per_inst;
+    return 1e9 / ns_per_inst;
+  }
   /// Seconds to retire `instructions` instructions at the given point.
   double duration_s(ClusterId cluster, double freq_ghz) const;
 };

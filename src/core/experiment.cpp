@@ -10,6 +10,25 @@ double ExperimentResult::qos_violation_fraction() const {
          static_cast<double>(apps_completed);
 }
 
+bool experiment_loop_head(SystemSim& sim, Governor& governor,
+                          const Workload& workload, double max_duration_s,
+                          std::size_t& next_arrival) {
+  if (!(sim.now() < max_duration_s)) return false;
+  // Spawn every application whose arrival time has come.
+  const auto& items = workload.items();
+  while (next_arrival < items.size() &&
+         items[next_arrival].arrival_time <= sim.now() + 1e-9) {
+    const WorkloadItem& item = items[next_arrival];
+    const AppSpec& app = Workload::app_of(item);
+    const CoreId core = governor.place(sim, app, item.qos_target_ips);
+    sim.spawn(app, item.qos_target_ips, core);
+    ++next_arrival;
+  }
+  if (next_arrival == items.size() && sim.num_running() == 0) return false;
+  governor.tick(sim);
+  return true;
+}
+
 ExperimentResult run_experiment(const PlatformSpec& platform,
                                 Governor& governor, const Workload& workload,
                                 const ExperimentConfig& config) {
@@ -29,22 +48,8 @@ ExperimentResult run_experiment(const PlatformSpec& platform,
   governor.reset(sim);
 
   std::size_t next_arrival = 0;
-  const auto& items = workload.items();
-
-  while (sim.now() < config.max_duration_s) {
-    // Spawn every application whose arrival time has come.
-    while (next_arrival < items.size() &&
-           items[next_arrival].arrival_time <= sim.now() + 1e-9) {
-      const WorkloadItem& item = items[next_arrival];
-      const AppSpec& app = Workload::app_of(item);
-      const CoreId core = governor.place(sim, app, item.qos_target_ips);
-      sim.spawn(app, item.qos_target_ips, core);
-      ++next_arrival;
-    }
-
-    if (next_arrival == items.size() && sim.num_running() == 0) break;
-
-    governor.tick(sim);
+  while (experiment_loop_head(sim, governor, workload,
+                              config.max_duration_s, next_arrival)) {
     sim.step();
     if (config.observer) config.observer(sim);
   }

@@ -54,6 +54,18 @@ struct ExperimentResult {
   double qos_violation_fraction() const;
 };
 
+/// One head of the experiment loop, run before every simulator tick: stop
+/// at the duration limit, spawn every workload item whose arrival time has
+/// come (placed by the governor; advances `next_arrival`), stop once every
+/// item has arrived and finished, else run the governor's tick. Returns
+/// false when the run is over; otherwise the caller steps the simulator
+/// once. Every experiment driver — run_experiment, its checkpointed
+/// variant, the fleet lanes and the server's devices — calls this, which
+/// is what keeps their runs bit-identical.
+bool experiment_loop_head(SystemSim& sim, Governor& governor,
+                          const Workload& workload, double max_duration_s,
+                          std::size_t& next_arrival);
+
 /// Run `workload` under `governor` on a freshly constructed simulator.
 ExperimentResult run_experiment(const PlatformSpec& platform,
                                 Governor& governor, const Workload& workload,

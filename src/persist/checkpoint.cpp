@@ -149,7 +149,6 @@ CheckpointedResult run_experiment_checkpointed(
     out.resumed = true;
   }
 
-  const auto& items = workload.items();
   // First deadline strictly after the (possibly restored) clock, on the
   // every_s grid, so interrupted and uninterrupted runs checkpoint — and
   // therefore compute — identically.
@@ -168,18 +167,10 @@ CheckpointedResult run_experiment_checkpointed(
       ++out.checkpoints_written;
     }
 
-    while (loop.next_arrival < items.size() &&
-           items[loop.next_arrival].arrival_time <= sim.now() + 1e-9) {
-      const WorkloadItem& item = items[loop.next_arrival];
-      const AppSpec& app = Workload::app_of(item);
-      const CoreId core = governor.place(sim, app, item.qos_target_ips);
-      sim.spawn(app, item.qos_target_ips, core);
-      ++loop.next_arrival;
+    if (!experiment_loop_head(sim, governor, workload, config.max_duration_s,
+                              loop.next_arrival)) {
+      break;
     }
-
-    if (loop.next_arrival == items.size() && sim.num_running() == 0) break;
-
-    governor.tick(sim);
     sim.step();
     if (config.observer) config.observer(sim);
   }

@@ -311,13 +311,19 @@ void SnapshotAccess::restore_processes(StateReader& in, SystemSim& sim) {
     const CoreId core = static_cast<CoreId>(in.size());
     TOPIL_REQUIRE(core < sim.platform().num_cores(),
                   "snapshot: process core out of range");
+    sim.require_runnable(app);
     const double arrival = in.f64();
     Process proc(pid, app, qos, core, arrival);
     proc.phase_index_ = in.size();
+    TOPIL_REQUIRE(proc.phase_index_ < app.phases.size(),
+                  "snapshot: process phase index past its last phase");
     proc.phase_insts_done_ = in.f64();
     proc.instructions_ = in.f64();
     proc.l2d_accesses_ = in.f64();
     proc.finished_ = in.boolean();
+    // tick_finish retires a process in the tick it finishes, so no step
+    // boundary (the only snapshot point) holds a finished one.
+    TOPIL_REQUIRE(!proc.finished_, "snapshot: finished process");
     proc.finish_time_ = in.f64();
     proc.penalty_until_ = in.f64();
     proc.penalty_ = in.f64();

@@ -29,10 +29,9 @@ class Matrix;
 
 namespace topil::persist {
 
-/// Private-state gateway for checkpoint/restore, mirroring the
-/// fleet::SimAccess idiom: every class whose mutable run-time state a
-/// checkpoint must capture friends this struct, and all serialization
-/// lives in snapshot.cpp behind it.
+/// Private-state gateway for checkpoint/restore: every class whose mutable
+/// run-time state a checkpoint must capture friends this struct, and all
+/// serialization lives in snapshot.cpp behind it.
 ///
 /// Contract: `restore` is called on an object *constructed with the same
 /// configuration* as the one that was saved (same platform, cooling, sim

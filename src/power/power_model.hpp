@@ -27,6 +27,9 @@ struct PowerBreakdown {
 /// The paper's platform has *no power sensors*; accordingly nothing in the
 /// runtime governors reads this model. It exists purely to drive the thermal
 /// simulation, exactly like physical Joule heating does on the real board.
+///
+/// The per-(cluster, VF level) constants are tabulated once at construction,
+/// so a `compute_into` call is table lookups and the per-core arithmetic.
 class PowerModel {
  public:
   explicit PowerModel(const PlatformSpec& platform);
@@ -64,7 +67,32 @@ class PowerModel {
   const PlatformSpec& platform() const { return *platform_; }
 
  private:
+  /// Constants of one (cluster, VF level) operating point. The products are
+  /// the left-to-right prefixes of `coeff * V * V * f * activity`, so
+  /// multiplying one by the activity evaluates that expression bit for bit.
+  struct Level {
+    double voltage_v = 0.0;
+    double dyn_vvf = 0.0;     ///< ((dyn_coeff * V) * V) * f
+    double uncore_vvf = 0.0;  ///< ((uncore_coeff * V) * V) * f
+  };
+  struct Cluster {
+    CoreId first_core = 0;  ///< a cluster's cores are contiguous
+    std::size_t num_cores = 0;
+    double leak_g0 = 0.0;
+    double leak_g1 = 0.0;
+    double leak_tref = 0.0;
+    std::vector<Level> levels;
+  };
+
+  const Level& level(ClusterId cluster, std::size_t vf_level) const;
+  static double dynamic_w(const Level& level, double activity);
+  static double leakage_w(const Cluster& cluster, const Level& level,
+                          double temp_c);
+
   const PlatformSpec* platform_;
+  std::vector<Cluster> clusters_;
+  double npu_w_active_ = 0.0;  ///< both 0 without an NPU
+  double npu_w_idle_ = 0.0;
 };
 
 }  // namespace topil

@@ -5,6 +5,7 @@
 #include "apps/app_database.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/experiment.hpp"
 #include "governors/topil_governor.hpp"
 #include "il/features.hpp"
 #include "il/il_model.hpp"
@@ -131,19 +132,9 @@ DeviceRunSummary run_reference_device(const scenario::ScenarioSpec& spec,
 
   DeviceRunSummary out;
   validate::Fnv64 action_digest;
-  const auto& items = m.workload.items();
   std::size_t next_arrival = 0;
-  while (sim.now() < m.max_duration_s) {
-    while (next_arrival < items.size() &&
-           items[next_arrival].arrival_time <= sim.now() + 1e-9) {
-      const WorkloadItem& item = items[next_arrival];
-      const AppSpec& app = Workload::app_of(item);
-      const CoreId core = governor->place(sim, app, item.qos_target_ips);
-      sim.spawn(app, item.qos_target_ips, core);
-      ++next_arrival;
-    }
-    if (next_arrival == items.size() && sim.num_running() == 0) break;
-    governor->tick(sim);
+  while (experiment_loop_head(sim, *governor, m.workload, m.max_duration_s,
+                              next_arrival)) {
     sim.step();
     if (sim.tick_index() % epoch_ticks == 0) {
       fold_action(action_digest, sample_action(sim, device_id, out.actions));

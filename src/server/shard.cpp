@@ -6,6 +6,7 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "core/experiment.hpp"
 #include "persist/checkpoint.hpp"
 #include "persist/snapshot.hpp"
 #include "persist/state_codec.hpp"
@@ -108,22 +109,11 @@ struct Shard::Device {
   };
   Fanout fanout;
 
-  /// The scalar run_experiment loop head, verbatim (fleet determinism
-  /// contract: a lane is bit-identical to the same sim stepped alone).
+  /// The run_experiment loop head (fleet determinism contract: a lane is
+  /// bit-identical to the same sim stepped alone).
   bool pre_tick() {
-    if (sim->now() >= mat->max_duration_s) return false;
-    const auto& items = mat->workload.items();
-    while (next_arrival < items.size() &&
-           items[next_arrival].arrival_time <= sim->now() + 1e-9) {
-      const WorkloadItem& item = items[next_arrival];
-      const AppSpec& app = Workload::app_of(item);
-      const CoreId core = governor->place(*sim, app, item.qos_target_ips);
-      sim->spawn(app, item.qos_target_ips, core);
-      ++next_arrival;
-    }
-    if (next_arrival == items.size() && sim->num_running() == 0) return false;
-    governor->tick(*sim);
-    return true;
+    return experiment_loop_head(*sim, *governor, mat->workload,
+                                mat->max_duration_s, next_arrival);
   }
 };
 
@@ -165,8 +155,9 @@ std::unique_ptr<Shard::Device> Shard::build_device(
   device->spec = scenario::ScenarioSpec::parse(scenario_text);
   device->mat = std::make_unique<scenario::MaterializedScenario>(
       scenario::materialize(device->spec));
-  // Fleet fast path needs the exponential integrator; validation runs
-  // through our own composite monitor, never SimConfig::validate.
+  // The fleet engine batches only exponential lanes' thermal advance;
+  // validation runs through our own composite monitor, never
+  // SimConfig::validate.
   device->mat->sim.integrator = ThermalIntegrator::Exponential;
   device->mat->sim.validate = false;
   device->sim = std::make_unique<SystemSim>(

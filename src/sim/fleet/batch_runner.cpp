@@ -10,8 +10,8 @@ namespace topil::fleet {
 
 namespace {
 
-/// Per-lane driver state: replays run_experiment's loop head through the
-/// engine's pre_tick hook.
+/// Per-lane driver state: runs run_experiment's loop head as the engine's
+/// pre_tick hook.
 struct LaneDriver {
   const FleetJob* job = nullptr;
   SystemSim sim;
@@ -40,22 +40,9 @@ struct LaneDriver {
     governor->reset(sim);
   }
 
-  /// One loop-head of run_experiment: duration limit, due arrivals,
-  /// completion test, governor tick. False retires the lane.
   bool pre_tick() {
-    if (sim.now() >= job->config.max_duration_s) return false;
-    const auto& items = job->workload->items();
-    while (next_arrival < items.size() &&
-           items[next_arrival].arrival_time <= sim.now() + 1e-9) {
-      const WorkloadItem& item = items[next_arrival];
-      const AppSpec& app = Workload::app_of(item);
-      const CoreId core = governor->place(sim, app, item.qos_target_ips);
-      sim.spawn(app, item.qos_target_ips, core);
-      ++next_arrival;
-    }
-    if (next_arrival == items.size() && sim.num_running() == 0) return false;
-    governor->tick(sim);
-    return true;
+    return experiment_loop_head(sim, *governor, *job->workload,
+                                job->config.max_duration_s, next_arrival);
   }
 
   ExperimentResult finish() {

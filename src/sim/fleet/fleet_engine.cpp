@@ -4,10 +4,73 @@
 
 namespace topil::fleet {
 
+void FleetEngine::FastGroup::write_power(std::size_t col,
+                                         const PowerBreakdown& p) {
+  const std::size_t w = width;
+  for (std::size_t core = 0; core < core_rows.size(); ++core) {
+    power[core_rows[core] * w + col] = p.core_w[core];
+  }
+  for (std::size_t c = 0; c < cluster_rows.size(); ++c) {
+    power[cluster_rows[c] * w + col] = p.uncore_w[c];
+  }
+  if (npu_row != kNoNode) power[npu_row * w + col] = p.npu_w;
+}
+
+void FleetEngine::FastGroup::step() {
+  prop->step_batched(temps, power, ambient, width, ws);
+}
+
+void FleetEngine::FastGroup::read_temps(
+    std::size_t col, std::vector<double>& lane_temps) const {
+  for (std::size_t i = 0; i < n; ++i) lane_temps[i] = temps[i * width + col];
+}
+
+void FleetEngine::FastGroup::add_column(std::size_t lane_index,
+                                        const std::vector<double>& lane_temps,
+                                        double lane_ambient) {
+  TOPIL_REQUIRE(lane_temps.size() == n,
+                "fleet group column temperature size mismatch");
+  const std::size_t w = width;
+  temps.resize(n * (w + 1));
+  power.resize(n * (w + 1));
+  // In-place stride repack w -> w+1, backwards: the write index never drops
+  // below the read index (i*(w+1)+s >= i*w+s), so descending iteration is
+  // safe.
+  for (std::size_t i = n; i-- > 0;) {
+    temps[i * (w + 1) + w] = lane_temps[i];
+    power[i * (w + 1) + w] = 0.0;
+    for (std::size_t s = w; s-- > 0;) {
+      temps[i * (w + 1) + s] = temps[i * w + s];
+      power[i * (w + 1) + s] = power[i * w + s];
+    }
+  }
+  ambient.push_back(lane_ambient);
+  lane_of_col.push_back(lane_index);
+  width = w + 1;
+}
+
+void FleetEngine::FastGroup::remove_column(std::size_t col) {
+  TOPIL_REQUIRE(col < width, "fleet group column out of range");
+  const std::size_t w = width;
+  // In-place stride repack w -> w-1: the write index never passes the read
+  // index (i*(w-1)+s <= i*w+s), so forward iteration is safe.
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t s = 0; s + 1 < w; ++s) {
+      const std::size_t src = i * w + (s < col ? s : s + 1);
+      temps[i * (w - 1) + s] = temps[src];
+      power[i * (w - 1) + s] = power[src];
+    }
+  }
+  temps.resize(n * (w - 1));
+  power.resize(n * (w - 1));
+  ambient.erase(ambient.begin() + static_cast<std::ptrdiff_t>(col));
+  lane_of_col.erase(lane_of_col.begin() + static_cast<std::ptrdiff_t>(col));
+  width = w - 1;
+}
+
 FleetEngine::FleetEngine(std::vector<Lane> lanes) {
   TOPIL_REQUIRE(!lanes.empty(), "fleet engine needs at least one lane");
   lanes_.reserve(lanes.size());
-  fast_lanes_.reserve(lanes.size());
   for (Lane& lane : lanes) attach_lane(std::move(lane));
 }
 
@@ -19,26 +82,18 @@ std::size_t FleetEngine::attach_lane(Lane lane) {
   LaneState state;
   state.lane = std::move(lane);
   lanes_.push_back(std::move(state));
-  fast_lanes_.emplace_back();
   ++active_;
-  attach_fast_path(index);
+  join_slab_group(index);
   return index;
 }
 
-void FleetEngine::attach_fast_path(std::size_t index) {
+void FleetEngine::join_slab_group(std::size_t index) {
   LaneState& state = lanes_[index];
   SystemSim& sim = *state.lane.sim;
   if (sim.thermal().integrator() != ThermalIntegrator::Exponential) {
-    return;  // Heun lanes run the scalar reference path.
+    return;  // Heun lanes step their own thermal model.
   }
   state.fast = true;
-
-  const PlatformSpec* platform = &sim.platform();
-  auto [table_it, table_new] = tables_.try_emplace(platform);
-  if (table_new) {
-    table_it->second.tables = std::make_unique<PlatformTables>(*platform);
-  }
-  ++table_it->second.live;
 
   const std::shared_ptr<const ThermalPropagator> prop =
       sim.thermal().propagator_for(sim.config().tick_s);
@@ -62,12 +117,10 @@ void FleetEngine::attach_fast_path(std::size_t index) {
                     fp.npu_node == group.npu_row,
                 "fleet group lanes disagree on floorplan node layout");
 
-  FastLane& fast = fast_lanes_[index];
-  fast.group = group_it->second;
-  fast.col = group.width;
+  state.group = group_it->second;
+  state.col = group.width;
   group.add_column(index, sim.thermal().node_temps_c(),
                    sim.thermal().cooling().ambient_c);
-  fast_lane_init(sim, fast, *table_it->second.tables);
 }
 
 void FleetEngine::set_tick_barrier(std::function<void()> barrier) {
@@ -90,36 +143,23 @@ void FleetEngine::retire_lane(std::size_t index) {
   state.active = false;
   --active_;
   if (!state.fast) return;
-  FastLane& fast = fast_lanes_[index];
-  FastGroup& group = fast_groups_[fast.group];
-  group.remove_column(fast.col);
-  for (std::size_t s = fast.col; s < group.width; ++s) {
-    fast_lanes_[group.lane_of_col[s]].col = s;
+  FastGroup& group = fast_groups_[state.group];
+  group.remove_column(state.col);
+  for (std::size_t s = state.col; s < group.width; ++s) {
+    lanes_[group.lane_of_col[s]].col = s;
   }
-  // Release the platform tables with their last lane: the PlatformSpec is
-  // caller-owned and may be destroyed (and its address recycled by a later
-  // tenant) once the lane is gone, so a stale entry must not linger.
-  fast.tables = nullptr;
-  auto it = tables_.find(&state.lane.sim->platform());
-  TOPIL_REQUIRE(it != tables_.end() && it->second.live > 0,
-                "fleet lane platform tables missing at retirement");
-  if (--it->second.live == 0) tables_.erase(it);
 }
 
 std::vector<std::size_t> FleetEngine::compact() {
   std::vector<std::size_t> remap(lanes_.size(), kRemovedLane);
   std::vector<LaneState> kept;
-  std::vector<FastLane> kept_fast;
   kept.reserve(active_);
-  kept_fast.reserve(active_);
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     if (!lanes_[i].active) continue;
     remap[i] = kept.size();
     kept.push_back(std::move(lanes_[i]));
-    kept_fast.push_back(std::move(fast_lanes_[i]));
   }
   lanes_ = std::move(kept);
-  fast_lanes_ = std::move(kept_fast);
   // Retirement already repacked retired lanes out of every slab, so the
   // surviving groups only reference surviving lanes.
   for (FastGroup& group : fast_groups_) {
@@ -137,15 +177,14 @@ std::size_t FleetEngine::step() {
     LaneState& state = lanes_[i];
     state.ticking = false;
     if (!state.active) continue;
-    if (!state.lane.pre_tick(*state.lane.sim)) {
+    SystemSim& sim = *state.lane.sim;
+    if (!state.lane.pre_tick(sim)) {
       retire_lane(i);
       continue;
     }
+    sim.tick_begin();
     if (state.fast) {
-      FastLane& fast = fast_lanes_[i];
-      fast_tick_begin(*state.lane.sim, fast, fast_groups_[fast.group]);
-    } else {
-      state.lane.sim->tick_begin(state.scratch);
+      fast_groups_[state.group].write_power(state.col, sim.last_power());
     }
     state.ticking = true;
   }
@@ -154,7 +193,7 @@ std::size_t FleetEngine::step() {
   if (barrier_) barrier_();
 
   // Phase 3: thermal advance — one matrix-matrix product per group for
-  // the fast lanes, scalar steps for the rest.
+  // the slab lanes, scalar steps for the Heun lanes.
   for (FastGroup& group : fast_groups_) {
     if (group.width == 0) continue;
     group.step();
@@ -167,17 +206,17 @@ std::size_t FleetEngine::step() {
     ++scalar_ticks_;
   }
 
-  // Phase 4: per-lane second tick half + observers, in lane order.
-  for (std::size_t i = 0; i < lanes_.size(); ++i) {
-    LaneState& state = lanes_[i];
+  // Phase 4: publish each slab column, then the second tick half and the
+  // observers, in lane order.
+  for (LaneState& state : lanes_) {
     if (!state.ticking) continue;
+    SystemSim& sim = *state.lane.sim;
     if (state.fast) {
-      FastLane& fast = fast_lanes_[i];
-      fast_tick_finish(*state.lane.sim, fast, fast_groups_[fast.group]);
-    } else {
-      state.lane.sim->tick_finish(state.scratch);
+      fast_groups_[state.group].read_temps(
+          state.col, sim.thermal().mutable_node_temps_c());
     }
-    if (state.lane.post_tick) state.lane.post_tick(*state.lane.sim);
+    sim.tick_finish();
+    if (state.lane.post_tick) state.lane.post_tick(sim);
   }
   return active_;
 }

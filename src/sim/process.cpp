@@ -73,7 +73,6 @@ void Process::execute(ClusterId cluster, double freq_ghz, double cpu_time_s,
                       double now) {
   TOPIL_ASSERT(!finished_, "executing a finished process");
   double remaining = cpu_time_s;
-  const double start = now - cpu_time_s;
   while (remaining > 1e-15 && !finished_) {
     const PhaseSpec& p = app_.phases[phase_index_];
     double ips = p.ips(cluster, freq_ghz);
@@ -101,7 +100,6 @@ void Process::execute(ClusterId cluster, double freq_ghz, double cpu_time_s,
       }
     }
   }
-  (void)start;
   ips_tracker_.record(now, instructions_);
   l2d_tracker_.record(now, l2d_accesses_);
 }

@@ -7,9 +7,6 @@
 
 namespace topil {
 
-namespace fleet {
-struct SimAccess;
-}
 namespace persist {
 struct SnapshotAccess;
 }
@@ -30,7 +27,6 @@ class RateTracker {
   void reset();
 
  private:
-  friend struct fleet::SimAccess;     ///< fleet fused tick (sim/fleet)
   friend struct persist::SnapshotAccess;  ///< checkpoint/restore
 
   double horizon_s_;
@@ -105,7 +101,6 @@ class Process {
   double activity(ClusterId cluster) const;
 
  private:
-  friend struct fleet::SimAccess;     ///< fleet fused tick (sim/fleet)
   friend struct persist::SnapshotAccess;  ///< checkpoint/restore
 
   Pid pid_;

@@ -22,10 +22,24 @@ SystemSim::SystemSim(const PlatformSpec& platform,
   core_util_.assign(platform.num_cores(), 0.0);
   pending_overhead_.assign(platform.num_cores(), 0.0);
   sensor_reading_ = cooling.ambient_c;
+  run_queues_.resize(platform.num_cores());
+  core_activity_.resize(platform.num_cores());
+  core_temps_.resize(platform.num_cores());
+  levels_.resize(platform.num_clusters());
+  busy_per_cluster_.resize(platform.num_clusters());
+}
+
+void SystemSim::require_runnable(const AppSpec& app) const {
+  for (const PhaseSpec& phase : app.phases) {
+    TOPIL_REQUIRE(phase.perf.size() >= platform_->num_clusters(),
+                  "app '" + app.name + "' phase '" + phase.name +
+                      "' has no perf data for every cluster");
+  }
 }
 
 Pid SystemSim::spawn(const AppSpec& app, double qos_target_ips, CoreId core) {
   TOPIL_REQUIRE(core < platform_->num_cores(), "core id out of range");
+  require_runnable(app);
   const Pid pid = next_pid_++;
   processes_.emplace(pid, Process(pid, app, qos_target_ips, core, now_));
   return pid;
@@ -162,71 +176,77 @@ void SystemSim::retire_finished() {
   }
 }
 
-void SystemSim::tick_begin(TickScratch& scratch) {
+void SystemSim::tick_begin() {
   const double dt = config_.tick_s;
   const double t_end = now_ + dt;
+  const std::size_t num_cores = platform_->num_cores();
+  const std::size_t num_clusters = platform_->num_clusters();
 
-  // 1. Group runnable processes by core. The scratch keeps the inner
-  //    vectors' capacity across ticks, so steady-state grouping is
-  //    allocation-free.
-  scratch.per_core.resize(platform_->num_cores());
-  for (auto& procs : scratch.per_core) procs.clear();
+  // 1. Group runnable processes by core, rebuilt from the process map on
+  //    every tick (the queues keep only their capacity across ticks).
+  for (auto& queue : run_queues_) queue.clear();
   for (auto& [pid, proc] : processes_) {
-    scratch.per_core[proc.core()].push_back(&proc);
+    run_queues_[proc.core()].push_back(&proc);
+  }
+
+  // Effective VF levels once per cluster: the DTM clamp's inputs cannot
+  // change within a tick.
+  for (ClusterId c = 0; c < num_clusters; ++c) {
+    levels_[c] = config_.dtm_enabled ? dtm_.clamp(c, requested_levels_[c])
+                                     : requested_levels_[c];
+    busy_per_cluster_[c] = 0;
   }
 
   // 2. Execute: each core's processes share it fairly; governor overhead
-  //    consumes capacity on its host core first.
-  scratch.core_activity.assign(platform_->num_cores(), 0.0);
-  scratch.busy_per_cluster.assign(platform_->num_clusters(), 0);
+  //    consumes capacity on its host core first. A cluster's cores are
+  //    contiguous, so this visits cores in id order.
   const bool npu_on = npu_active();
+  CoreId core = 0;
+  for (ClusterId cluster = 0; cluster < num_clusters; ++cluster) {
+    const ClusterSpec& spec = platform_->cluster(cluster);
+    const double f = spec.vf.at(levels_[cluster]).freq_ghz;
+    for (std::size_t k = 0; k < spec.num_cores; ++k, ++core) {
+      const double overhead = std::min(pending_overhead_[core], dt);
+      pending_overhead_[core] -= overhead;
+      const double capacity = dt - overhead;
 
-  for (CoreId core = 0; core < platform_->num_cores(); ++core) {
-    const ClusterId cluster = platform_->cluster_of_core(core);
-    const double f = freq_ghz(cluster);
+      double busy_fraction = overhead / dt;
+      double act = 0.0;
+      act += (overhead / dt) * 1.0;  // governor compute
 
-    const double overhead = std::min(pending_overhead_[core], dt);
-    pending_overhead_[core] -= overhead;
-    const double capacity = dt - overhead;
-
-    double busy_fraction = overhead / dt;
-    scratch.core_activity[core] += (overhead / dt) * 1.0;  // governor compute
-
-    auto& procs = scratch.per_core[core];
-    if (!procs.empty() && capacity > 0.0) {
-      const double share = capacity / static_cast<double>(procs.size());
-      for (Process* proc : procs) {
-        proc->execute(cluster, f, share, t_end);
-        scratch.core_activity[core] += (share / dt) * proc->activity(cluster);
+      const std::vector<Process*>& procs = run_queues_[core];
+      if (!procs.empty() && capacity > 0.0) {
+        const double share = capacity / static_cast<double>(procs.size());
+        for (Process* proc : procs) {
+          proc->execute(cluster, f, share, t_end);
+          act += (share / dt) * proc->activity(cluster);
+        }
+        busy_fraction = 1.0;
+        busy_per_cluster_[cluster] += 1;
+      } else if (!procs.empty()) {
+        // Core fully consumed by governor overhead this tick.
+        for (Process* proc : procs) proc->idle_tick(t_end);
+        busy_fraction = 1.0;
+        busy_per_cluster_[cluster] += 1;
       }
-      busy_fraction = 1.0;
-      scratch.busy_per_cluster[cluster] += 1;
-    } else if (!procs.empty()) {
-      // Core fully consumed by governor overhead this tick.
-      for (Process* proc : procs) proc->idle_tick(t_end);
-      busy_fraction = 1.0;
-      scratch.busy_per_cluster[cluster] += 1;
+
+      // Utilization EWMA (alpha precomputed once: dt and tau are fixed).
+      core_util_[core] += util_alpha_ * (busy_fraction - core_util_[core]);
+      core_activity_[core] = act;
     }
-
-    // Utilization EWMA (alpha precomputed once: dt and tau are fixed).
-    core_util_[core] += util_alpha_ * (busy_fraction - core_util_[core]);
   }
 
-  // 3a. Power update; the thermal advance between tick_begin and
-  //     tick_finish consumes last_power_.
-  scratch.core_temps.resize(platform_->num_cores());
-  for (CoreId c = 0; c < platform_->num_cores(); ++c) {
-    scratch.core_temps[c] = thermal_.core_temp_c(c);
+  // 3. Power update from the pre-step temperatures; the thermal advance
+  //    between tick_begin and tick_finish consumes last_power_.
+  const std::vector<double>& temps = thermal_.node_temps_c();
+  for (CoreId c = 0; c < num_cores; ++c) {
+    core_temps_[c] = temps[floorplan_.core_nodes[c]];
   }
-  scratch.levels.resize(platform_->num_clusters());
-  for (ClusterId c = 0; c < platform_->num_clusters(); ++c) {
-    scratch.levels[c] = vf_level(c);
-  }
-  power_model_.compute_into(scratch.levels, scratch.core_activity,
-                            scratch.core_temps, npu_on, last_power_);
+  power_model_.compute_into(levels_, core_activity_, core_temps_, npu_on,
+                            last_power_);
 }
 
-void SystemSim::tick_finish(TickScratch& scratch) {
+void SystemSim::tick_finish() {
   const double dt = config_.tick_s;
 
   // 4. DTM and sensor observe the new state.
@@ -239,25 +259,26 @@ void SystemSim::tick_finish(TickScratch& scratch) {
   }
   sensor_reading_ = sensor_.observe(now_, max_core_temp);
 
-  // 5. QoS accounting, metrics, and process retirement.
+  // 5. QoS accounting, metrics, and retirement of the processes that
+  //    finished in this tick's execution.
+  bool any_finished = false;
   for (auto& [pid, proc] : processes_) {
-    if (!proc.finished()) {
-      proc.account_qos(now_, dt, config_.qos.grace_s,
-                       config_.qos.tolerance);
+    if (proc.finished()) {
+      any_finished = true;
+      continue;
     }
+    proc.account_qos(now_, dt, config_.qos.grace_s, config_.qos.tolerance);
   }
-  metrics_.on_tick(now_, dt, max_core_temp, scratch.levels,
-                   scratch.busy_per_cluster);
-  retire_finished();
+  metrics_.on_tick(now_, dt, max_core_temp, levels_, busy_per_cluster_);
+  if (any_finished) retire_finished();
   ++tick_index_;
   if (monitor_ != nullptr) monitor_->on_tick(*this);
 }
 
 void SystemSim::step() {
-  TickScratch scratch;
-  tick_begin(scratch);
+  tick_begin();
   thermal_.step(last_power_, config_.tick_s);
-  tick_finish(scratch);
+  tick_finish();
 }
 
 void SystemSim::run_for(double duration_s) {

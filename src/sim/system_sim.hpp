@@ -20,9 +20,6 @@
 
 namespace topil {
 
-namespace fleet {
-struct SimAccess;
-}
 namespace persist {
 struct SnapshotAccess;
 }
@@ -84,6 +81,7 @@ class SystemSim {
   // --- process lifecycle ---
 
   /// Start an application instance pinned to `core`. Returns its pid.
+  /// Every phase of `app` needs a perf row for every cluster.
   Pid spawn(const AppSpec& app, double qos_target_ips, CoreId core);
 
   /// Set CPU affinity of a running process (the migration knob).
@@ -139,30 +137,19 @@ class SystemSim {
 
   // --- split-phase stepping (fleet engine) ---
 
-  /// Reusable per-tick buffers for the split-phase step. A `step()` is
-  /// exactly `tick_begin(s); thermal().step(last_power(), tick_s);
-  /// tick_finish(s)` — the split exists so the fleet engine can interleave
-  /// phase boundaries across many simulations and replace the per-lane
-  /// thermal matvec with one batched matrix-matrix product. Lanes keep one
-  /// scratch alive across ticks, which also removes every per-tick heap
-  /// allocation of the scalar path (the dominant scalar cost; see
-  /// bench/perf_fleet).
-  struct TickScratch {
-    std::vector<std::vector<Process*>> per_core;
-    std::vector<double> core_activity;
-    std::vector<std::size_t> busy_per_cluster;
-    std::vector<double> core_temps;
-    std::vector<std::size_t> levels;
-  };
+  // `step()` is exactly `tick_begin(); thermal().step(last_power(),
+  // tick_s); tick_finish();`. The split lets the fleet engine interleave
+  // the phases of many simulations and replace each one's thermal advance
+  // with one batched matrix-matrix product.
 
-  /// Phases 1-3a of a tick: process execution, utilization EWMA, and the
-  /// power-model update (fills `last_power()`). The caller must follow
-  /// with exactly one thermal advance by `config().tick_s` and then
-  /// `tick_finish` with the same scratch.
-  void tick_begin(TickScratch& scratch);
+  /// Phases 1-3 of a tick: process execution, utilization EWMA, and the
+  /// power model (fills `last_power()`). The caller must follow with
+  /// exactly one thermal advance by `config().tick_s` and then
+  /// `tick_finish`.
+  void tick_begin();
   /// Phases 4-5: clock advance, DTM/sensor observation, QoS accounting,
   /// metrics, retirement, and the monitor callback.
-  void tick_finish(TickScratch& scratch);
+  void tick_finish();
 
   // --- evaluation-only access (not visible to governors) ---
 
@@ -185,10 +172,6 @@ class SystemSim {
   SimMonitor* monitor() const { return monitor_; }
 
  private:
-  // The fleet engine's fused lane tick (sim/fleet/lane_tick.cpp) is a
-  // bit-exact re-implementation of tick_begin/tick_finish over this state;
-  // all of its private access goes through the SimAccess gateway.
-  friend struct fleet::SimAccess;
   // Checkpoint/restore (src/persist/snapshot.cpp) serializes this state.
   friend struct persist::SnapshotAccess;
 
@@ -215,6 +198,21 @@ class SystemSim {
   std::uint64_t tick_index_ = 0;
   SimMonitor* monitor_ = nullptr;
 
+  // Working buffers of one tick, kept as members only so steady-state
+  // ticks allocate nothing. None of them carries state from one tick to
+  // the next: tick_begin rebuilds the run queues from processes_ and
+  // refills the rest, so no Process* is read after the tick that took it
+  // (a snapshot restore may replace every process between ticks).
+  std::vector<std::vector<Process*>> run_queues_;  ///< per core
+  std::vector<double> core_activity_;              ///< per core
+  std::vector<double> core_temps_;                 ///< per core
+  std::vector<std::size_t> levels_;                ///< effective, per cluster
+  std::vector<std::size_t> busy_per_cluster_;
+
+  /// Throws InvalidArgument unless every phase of `app` has a perf row for
+  /// every cluster. A process may be migrated to any core, and a missing
+  /// row found mid-tick would leave the tick half done.
+  void require_runnable(const AppSpec& app) const;
   Process& mutable_process(Pid pid);
   void retire_finished();
 };

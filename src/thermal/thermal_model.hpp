@@ -56,8 +56,8 @@ class ThermalModel {
   /// Map a block-level PowerBreakdown onto per-node heat input.
   std::vector<double> node_power(const PowerBreakdown& power) const;
 
-  /// Same, into a caller-owned buffer (fleet engine hot path: gathers one
-  /// lane's node power into its batch column without allocating).
+  /// Same, into a caller-owned buffer (`step` and `settle` reuse one
+  /// across calls instead of allocating).
   void node_power_into(const PowerBreakdown& power,
                        std::vector<double>& out) const;
 

@@ -182,55 +182,74 @@ TEST(FleetCorpus, HomogeneousFleetFillsWideBatch) {
   EXPECT_NE(fleet[0].digest, fleet[63].digest);
 }
 
-// --- engine-level: batched thermal really runs, bit-equal states -------
+// --- engine-level: each lane runs its own tick, bit-equal states -------
 
-TEST(FleetEngine, BatchedThermalMatchesScalarStep) {
+struct EngineFixture {
+  ThermalIntegrator integrator = ThermalIntegrator::Exponential;
+  std::size_t package_grid = 1;
+  std::size_t lanes = 4;
+  std::size_t ticks = 500;
+  std::uint64_t seed = 100;
+};
+
+/// Steps twin single-app simulations, one set through SystemSim::step and
+/// one as FleetEngine lanes, and requires bit-equal node temperatures and
+/// sensor readings. Exponential lanes share one propagator group, so every
+/// lane-tick goes through the batched kernel; Heun lanes step their own
+/// thermal model.
+void expect_engine_matches_scalar_step(const EngineFixture& fx) {
   const PlatformSpec platform = PlatformSpec::hikey970();
   const AppSpec& app = AppDatabase::instance().by_name("swaptions");
   SimConfig config;
-  config.integrator = ThermalIntegrator::Exponential;
+  config.integrator = fx.integrator;
+  config.floorplan.package_grid = fx.package_grid;
 
-  constexpr std::size_t kLanes = 4;
-  constexpr std::size_t kTicks = 500;
+  const auto make_sims = [&](std::deque<SystemSim>& sims) {
+    for (std::size_t s = 0; s < fx.lanes; ++s) {
+      SimConfig c = config;
+      c.seed = fx.seed + s;
+      sims.emplace_back(platform, CoolingConfig::fan(), c);
+      sims.back().spawn(app, 1e8, s % platform.num_cores());
+    }
+  };
 
-  // Twin scalar sims, stepped the ordinary way.
   std::deque<SystemSim> scalar;
-  for (std::size_t s = 0; s < kLanes; ++s) {
-    SimConfig c = config;
-    c.seed = 100 + s;
-    scalar.emplace_back(platform, CoolingConfig::fan(), c);
-    scalar.back().spawn(app, 1e8, s % platform.num_cores());
-  }
-  for (std::size_t t = 0; t < kTicks; ++t) {
+  make_sims(scalar);
+  for (std::size_t t = 0; t < fx.ticks; ++t) {
     for (auto& sim : scalar) sim.step();
   }
 
-  // Fleet lanes with identical construction.
   std::deque<SystemSim> fleet_sims;
+  make_sims(fleet_sims);
   std::vector<fleet::FleetEngine::Lane> lanes;
-  for (std::size_t s = 0; s < kLanes; ++s) {
-    SimConfig c = config;
-    c.seed = 100 + s;
-    fleet_sims.emplace_back(platform, CoolingConfig::fan(), c);
-    fleet_sims.back().spawn(app, 1e8, s % platform.num_cores());
+  for (SystemSim& sim : fleet_sims) {
     fleet::FleetEngine::Lane lane;
-    lane.sim = &fleet_sims.back();
+    lane.sim = &sim;
     lane.pre_tick = [](SystemSim&) { return true; };
     lanes.push_back(std::move(lane));
   }
   fleet::FleetEngine engine(std::move(lanes));
-  for (std::size_t t = 0; t < kTicks; ++t) {
-    ASSERT_EQ(engine.step(), kLanes);
+  for (std::size_t t = 0; t < fx.ticks; ++t) {
+    ASSERT_EQ(engine.step(), fx.lanes);
   }
 
-  // All lanes share one (network, dt) → every lane-tick went batched.
-  EXPECT_EQ(engine.batched_thermal_lane_ticks(), kLanes * kTicks);
-  EXPECT_EQ(engine.scalar_thermal_lane_ticks(), 0u);
+  const std::uint64_t lane_ticks = fx.lanes * fx.ticks;
+  if (fx.integrator == ThermalIntegrator::Exponential) {
+    EXPECT_EQ(engine.batched_thermal_lane_ticks(), lane_ticks);
+    EXPECT_EQ(engine.scalar_thermal_lane_ticks(), 0u);
+  } else {
+    EXPECT_EQ(engine.batched_thermal_lane_ticks(), 0u);
+    EXPECT_EQ(engine.scalar_thermal_lane_ticks(), lane_ticks);
+  }
 
-  for (std::size_t s = 0; s < kLanes; ++s) {
+  // Package spreader cells (one on the classic floorplan) + 8 cores +
+  // 2 clusters + NPU + heatsink.
+  const std::size_t nodes = fx.package_grid * fx.package_grid + 12;
+  for (std::size_t s = 0; s < fx.lanes; ++s) {
     const auto& a = scalar[s].thermal().node_temps_c();
     const auto& b = fleet_sims[s].thermal().node_temps_c();
     ASSERT_EQ(a.size(), b.size());
+    ASSERT_EQ(a.size(), nodes);
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i], b[i]) << "lane " << s << " node " << i;
     }
@@ -238,60 +257,26 @@ TEST(FleetEngine, BatchedThermalMatchesScalarStep) {
   }
 }
 
+TEST(FleetEngine, BatchedThermalMatchesScalarStep) {
+  for (ThermalIntegrator integrator :
+       {ThermalIntegrator::Exponential, ThermalIntegrator::Heun}) {
+    SCOPED_TRACE(integrator == ThermalIntegrator::Heun ? "heun" : "exp");
+    EngineFixture fx;
+    fx.integrator = integrator;
+    expect_engine_matches_scalar_step(fx);
+  }
+}
+
 // Same contract on the grid-refined spreader floorplan: 37 thermal nodes
 // (grid 5), mostly-zero power rows, so the batched kernel's zero-row skip
 // and the scalar path must still agree bit for bit.
 TEST(FleetEngine, GridFloorplanStaysBitExact) {
-  const PlatformSpec platform = PlatformSpec::hikey970();
-  const AppSpec& app = AppDatabase::instance().by_name("swaptions");
-  SimConfig config;
-  config.integrator = ThermalIntegrator::Exponential;
-  config.floorplan.package_grid = 5;
-
-  constexpr std::size_t kLanes = 5;
-  constexpr std::size_t kTicks = 400;
-
-  std::deque<SystemSim> scalar;
-  for (std::size_t s = 0; s < kLanes; ++s) {
-    SimConfig c = config;
-    c.seed = 300 + s;
-    scalar.emplace_back(platform, CoolingConfig::fan(), c);
-    scalar.back().spawn(app, 1e8, s % platform.num_cores());
-  }
-  for (std::size_t t = 0; t < kTicks; ++t) {
-    for (auto& sim : scalar) sim.step();
-  }
-
-  std::deque<SystemSim> fleet_sims;
-  std::vector<fleet::FleetEngine::Lane> lanes;
-  for (std::size_t s = 0; s < kLanes; ++s) {
-    SimConfig c = config;
-    c.seed = 300 + s;
-    fleet_sims.emplace_back(platform, CoolingConfig::fan(), c);
-    fleet_sims.back().spawn(app, 1e8, s % platform.num_cores());
-    fleet::FleetEngine::Lane lane;
-    lane.sim = &fleet_sims.back();
-    lane.pre_tick = [](SystemSim&) { return true; };
-    lanes.push_back(std::move(lane));
-  }
-  fleet::FleetEngine engine(std::move(lanes));
-  for (std::size_t t = 0; t < kTicks; ++t) {
-    ASSERT_EQ(engine.step(), kLanes);
-  }
-  EXPECT_EQ(engine.batched_thermal_lane_ticks(), kLanes * kTicks);
-  EXPECT_EQ(engine.scalar_thermal_lane_ticks(), 0u);
-
-  for (std::size_t s = 0; s < kLanes; ++s) {
-    const auto& a = scalar[s].thermal().node_temps_c();
-    const auto& b = fleet_sims[s].thermal().node_temps_c();
-    ASSERT_EQ(a.size(), b.size());
-    // 25 spreader cells + 8 cores + 2 clusters + NPU + heatsink.
-    ASSERT_EQ(a.size(), 5u * 5u + 12u);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << "lane " << s << " node " << i;
-    }
-    EXPECT_EQ(scalar[s].sensor_temp_c(), fleet_sims[s].sensor_temp_c()) << s;
-  }
+  EngineFixture fx;
+  fx.package_grid = 5;
+  fx.lanes = 5;
+  fx.ticks = 400;
+  fx.seed = 300;
+  expect_engine_matches_scalar_step(fx);
 }
 
 // --- NPU aggregation: TOP-IL lanes batched through one device ----------

@@ -152,7 +152,10 @@ TEST(GovernorService, DeregisterRemovesADeviceMidRun) {
   server.start();
   ServiceClient client(server.connect_local());
   DeviceScenarioOptions opts = short_device();
-  opts.max_duration_s = 30.0;  // would run far longer than the test
+  // 360k ticks: seconds of shard time even unloaded, so the device is
+  // still running when the deregistration lands (a 30 s horizon is a few
+  // milliseconds and could finish first on a loaded host).
+  opts.max_duration_s = 3600.0;
   opts.instruction_scale = 2.0;
   client.register_device(3, make_device_scenario(kSeed, 3, opts).serialize());
 

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "apps/app_database.hpp"
+#include "platform/topology.hpp"
 
 namespace topil {
 namespace {
@@ -252,6 +253,22 @@ TEST_F(SystemSimTest, GracePeriodForgivesRampUp) {
   const CompletedProcess& rec = sim.metrics().completed().front();
   EXPECT_LT(rec.below_target_fraction, 0.05);
   EXPECT_FALSE(rec.qos_violated);
+}
+
+// A process may run on any core a governor migrates it to, so it must
+// bring a perf row for every cluster. swaptions is characterized on two
+// clusters; on a three-tier part it is turned away at spawn, on any core.
+TEST(SystemSimSpawn, RejectsAppWithoutPerfRowPerCluster) {
+  const PlatformSpec soc = TopologySpec::three_tier().build();
+  ASSERT_EQ(soc.num_clusters(), 3u);
+  SimConfig config;
+  config.integrator = ThermalIntegrator::Exponential;
+  SystemSim sim(soc, CoolingConfig::fan(), config);
+  const AppSpec& app = AppDatabase::instance().by_name("swaptions");
+  ASSERT_EQ(app.phases.front().perf.size(), 2u);
+  EXPECT_THROW(sim.spawn(app, 1e8, soc.core_id(2, 0)), InvalidArgument);
+  EXPECT_THROW(sim.spawn(app, 1e8, soc.core_id(0, 0)), InvalidArgument);
+  EXPECT_EQ(sim.num_running(), 0u);
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 # crash-recovery gate (SIGKILL a checkpointed run and a journaled fuzz
 # campaign mid-flight, resume each, and require bit-identical final
 # digests), replay the pinned corpus through the fleet engine against the
-# golden digests (plus a perf_fleet smoke run), run the governor-server gate
+# golden digests (plus the benchmark's fleet check and a perf_fleet smoke
+# run), run the governor-server gate
 # (protocol corruption fuzz under the sanitizer build, a perf_server soak
 # smoke, and a kill -9 + --resume digest-parity check on topil_serve), and
 # record the integrator perf gate (Heun vs exponential) to BENCH_pr3.json
@@ -33,8 +34,8 @@
 #                   (default: 0.25; generator default is 0.15)
 #   RECOVERY        0 to skip the crash-recovery (kill -9 + resume) gate
 #                   (default: 1)
-#   FLEET           0 to skip the fleet determinism + perf smoke gate
-#                   (default: 1)
+#   FLEET           0 to skip the fleet determinism gate (corpus replay,
+#                   benchmark fleet check, perf smoke) (default: 1)
 #   SERVER          0 to skip the governor-server gate (protocol fuzz
 #                   under the sanitizer build, perf_server --smoke, and a
 #                   kill -9 + --resume digest-parity check on topil_serve)
@@ -220,6 +221,14 @@ if [[ "${FLEET:-1}" != "0" ]]; then
     "${build_dir}/tools/topil_fuzz" --fleet-batch "${fleet_batch}" \
       --jobs "${jobs}" --golden "${golden}" --replay "${corpus[@]}"
   done
+
+  echo "== fleet benchmark check (perfbench, 12x12 grid at batch 64)"
+  # The fleet workload re-runs lanes through the scalar run_experiment and
+  # fails unless every result field matches bit for bit, on the 12x12
+  # package grid at batch 64 — a width and floorplan no ctest case runs.
+  # It builds its own tree under .bench_build/ in the repo root.
+  (cd "${repo_root}" && python3 perfbench/run.py --workload fleet --seed 1 \
+    --seconds 3 --trace 0)
 
   echo "== fleet perf smoke"
   # Small fixture: proves the bench binary and both fixtures stay runnable;

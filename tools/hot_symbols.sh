@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Print the address mod 64 of every clone of the hot loops whose alignment
 # a change elsewhere can shift: the thermal slab kernel (propagate_slab),
-# ThermalPropagator::step_batched, the fused fleet tick
-# (fast_tick_begin/fast_tick_finish) and the nn dense kernels. Deleting or
+# ThermalPropagator::step_batched, the simulator tick
+# (SystemSim::tick_begin/tick_finish), PowerModel::compute_into and the nn
+# dense kernels. Deleting or
 # growing code in a library that links ahead of sim and thermal (nn does)
 # moves these offsets, which can move the `fleet` benchmark without any
 # change to its code; compare both builds' output before attributing a
@@ -23,7 +24,8 @@ fi
 # The nn kernels: the entry points (*_simd) and their per-CPU clones
 # (*_dispatch).
 hot='propagate_slab|ThermalPropagator::step_batched'
-hot+='|fleet::fast_tick_(begin|finish)|nn::[a-z_]*_(simd|dispatch)'
+hot+='|SystemSim::tick_(begin|finish)|PowerModel::compute_into'
+hot+='|nn::[a-z_]*_(simd|dispatch)'
 
 nm -C "$1" | awk -v hot="(${hot})\\\\(" '
   # Code symbols only; the ifunc resolvers and cold splits never run hot.
