@@ -75,12 +75,13 @@ void run(const BenchOptions& options) {
 
   std::printf("\nNN inference latency, NPU batch vs. CPU single-thread:\n");
   TextTable lat({"batch (apps)", "NPU [ms]", "CPU [ms]"});
-  const npu::NpuLatencyModel npu_model;
+  const npu::NpuCostModel npu_model;
   const npu::CpuInferenceModel cpu_model;
+  const nn::Topology policy{21, {64, 64, 64, 64}, 8};
   const double macs = 21.0 * 64 + 3 * 64.0 * 64 + 64.0 * 8;
   for (std::size_t batch : {1u, 4u, 8u, 16u}) {
     lat.add_row({std::to_string(batch),
-                 TextTable::fmt(1e3 * npu_model.latency_s(batch, macs), 2),
+                 TextTable::fmt(1e3 * npu_model.latency_s(policy, batch), 2),
                  TextTable::fmt(1e3 * cpu_model.latency_s(batch, macs), 2)});
   }
   lat.print(std::cout);

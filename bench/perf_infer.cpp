@@ -120,8 +120,7 @@ int run(const InferBenchConfig& bench, const BenchOptions& options) {
   network.init(4242);
   const npu::CompiledModel compiled = npu::CompiledModel::compile(network);
 
-  const npu::NpuCostModel cost =
-      npu::NpuCostModel::from_legacy(npu::NpuLatencyModel{});
+  const npu::NpuCostModel cost;
 
   BenchJsonWriter json(options.json_enabled() ? options.json_path
                                               : "BENCH_npu.json");

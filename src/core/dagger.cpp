@@ -8,7 +8,6 @@
 #include "governors/topil_governor.hpp"
 #include "il/runtime_features.hpp"
 #include "persist/training_wal.hpp"
-#include "sim/fleet/batch_runner.hpp"
 #include "workloads/generator.hpp"
 
 namespace topil::il {
@@ -16,10 +15,8 @@ namespace topil::il {
 namespace {
 
 /// Everything one rollout owns: the labeled-capture state its observer
-/// closure writes into, plus the workload and run configuration. Contexts
-/// are heap-pinned so the observer's `this` capture stays valid whether
-/// the rollout runs scalar (run_experiment) or as one lane of a fleet
-/// batch (fleet::run_experiments).
+/// closure writes into, plus the workload and run configuration. The
+/// observer captures `this`, so a context must not move once built.
 struct RolloutContext {
   OnlineOracle oracle;
   FeatureExtractor features;
@@ -71,17 +68,12 @@ struct RolloutContext {
 };
 
 /// Rollout governor: iteration 0 rolls out the oracle expert; later
-/// iterations the latest learned policy. With an aggregator (fleet path)
-/// the policy governor's NPU batches funnel through it; the result is
-/// bit-identical either way.
-std::unique_ptr<Governor> make_rollout_governor(
-    const nn::Mlp* policy, const PlatformSpec& platform,
-    const CoolingConfig& cooling, npu::InferenceAggregator* aggregator) {
+/// iterations the latest learned policy.
+std::unique_ptr<Governor> make_rollout_governor(const nn::Mlp* policy,
+                                                const PlatformSpec& platform,
+                                                const CoolingConfig& cooling) {
   if (policy != nullptr) {
-    TopIlGovernor::Config config;
-    config.aggregator = aggregator;
-    return std::make_unique<TopIlGovernor>(IlPolicyModel(*policy, platform),
-                                           config);
+    return std::make_unique<TopIlGovernor>(IlPolicyModel(*policy, platform));
   }
   return std::make_unique<OracleGovernor>(platform, cooling);
 }
@@ -110,7 +102,7 @@ std::vector<TrainingExample> DaggerTrainer::collect_rollout(
     std::uint64_t seed) const {
   RolloutContext context(*platform_, cooling_, config, seed);
   const std::unique_ptr<Governor> governor =
-      make_rollout_governor(policy, *platform_, cooling_, nullptr);
+      make_rollout_governor(policy, *platform_, cooling_);
   run_experiment(*platform_, *governor, context.workload,
                  context.run_config);
   return std::move(context.examples);
@@ -167,43 +159,11 @@ DaggerResult DaggerTrainer::run(const DaggerConfig& config) const {
     // so they fan out over the pool; each gets its index-derived seed and
     // aggregation keeps rollout order (bit-identical to serial).
     const nn::Mlp* policy = iter == 0 ? nullptr : &result.model;
-    std::vector<std::vector<TrainingExample>> per_rollout;
-    if (config.fleet_batch > 1) {
-      // Fleet path: every rollout of the iteration becomes one lockstep
-      // lane; policy-rollout NPU inference batches across lanes through
-      // the per-batch aggregator. Lane results are bit-identical to the
-      // scalar path below.
-      std::vector<std::unique_ptr<RolloutContext>> contexts;
-      std::vector<fleet::FleetJob> fleet_jobs;
-      for (std::size_t r = 0; r < config.rollouts_per_iteration; ++r) {
-        const std::uint64_t seed = config.seed + 1000 * iter + 17 * r;
-        contexts.push_back(std::make_unique<RolloutContext>(
-            *platform_, cooling_, config, seed));
-        fleet::FleetJob job;
-        job.platform = platform_;
-        job.workload = &contexts.back()->workload;
-        job.config = contexts.back()->run_config;
-        job.make_governor = [this,
-                             policy](npu::InferenceAggregator* aggregator) {
-          return make_rollout_governor(policy, *platform_, cooling_,
-                                       aggregator);
-        };
-        fleet_jobs.push_back(std::move(job));
-      }
-      fleet::FleetOptions options;
-      options.batch = config.fleet_batch;
-      options.jobs = ThreadPool::resolve_jobs(config.jobs);
-      fleet::run_experiments(fleet_jobs, options);
-      for (auto& context : contexts) {
-        per_rollout.push_back(std::move(context->examples));
-      }
-    } else {
-      per_rollout = parallel_map(
-          config.rollouts_per_iteration, config.jobs, [&](std::size_t r) {
-            const std::uint64_t seed = config.seed + 1000 * iter + 17 * r;
-            return collect_rollout(policy, config, seed);
-          });
-    }
+    std::vector<std::vector<TrainingExample>> per_rollout = parallel_map(
+        config.rollouts_per_iteration, config.jobs, [&](std::size_t r) {
+          const std::uint64_t seed = config.seed + 1000 * iter + 17 * r;
+          return collect_rollout(policy, config, seed);
+        });
     std::size_t new_examples = 0;
     for (std::vector<TrainingExample>& examples : per_rollout) {
       new_examples += examples.size();

@@ -34,11 +34,6 @@ struct DaggerConfig {
   /// index and aggregation preserves rollout order, so the aggregated
   /// dataset — and thus the trained model — is identical for any value.
   std::size_t jobs = 0;
-  /// Lanes per SoA lockstep batch for the rollouts of one iteration
-  /// (fleet::run_experiments). 1 keeps the scalar run_experiment path.
-  /// Fleet lanes are bit-identical to scalar rollouts (DESIGN.md §10), so
-  /// the aggregated dataset and trained model do not depend on this.
-  std::size_t fleet_batch = 1;
   /// Applications the rollout workloads draw from. Empty = the database's
   /// training kernels, whose per-cluster rows characterize the two
   /// reference clusters — on platforms with a different cluster count,

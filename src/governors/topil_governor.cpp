@@ -10,12 +10,6 @@ namespace topil {
 
 namespace {
 constexpr const char* kOverheadComponent = "migration";
-
-npu::NpuCostModel governor_cost_model(const TopIlGovernor::Config& config) {
-  npu::NpuCostModel cost = npu::NpuCostModel::from_legacy(config.npu_latency);
-  cost.queueing = config.npu_queueing;
-  return cost;
-}
 }  // namespace
 
 TopIlGovernor::TopIlGovernor(il::IlPolicyModel model)
@@ -25,7 +19,7 @@ TopIlGovernor::TopIlGovernor(il::IlPolicyModel model, Config config)
     : model_(std::move(model)),
       config_(config),
       compiled_(npu::CompiledModel::compile(model_.network())),
-      npu_(governor_cost_model(config)),
+      npu_(config.npu),
       dvfs_(config.dvfs) {
   TOPIL_REQUIRE(config.migration_period_s > 0.0,
                 "migration period must be positive");

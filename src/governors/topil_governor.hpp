@@ -32,12 +32,8 @@ class TopIlGovernor : public Governor {
     double invocation_cost_s = 4.0e-3;
     double per_app_cost_s = 2.0e-5;
     DvfsControlLoop::Config dvfs{};
-    npu::NpuLatencyModel npu_latency{};
+    npu::NpuCostModel npu{};
     npu::CpuInferenceModel cpu_inference{};
-    /// Serialize this governor's NPU jobs behind a busy-until horizon
-    /// (multi-tenant contention modeling, see NpuCostModel::queueing).
-    /// Opt-in: default off preserves the uncontended-device digests.
-    bool npu_queueing = false;
     /// Fleet-engine hook: when set, this governor's NpuDevice defers its
     /// inference batches to the shared aggregator, which the fleet engine
     /// flushes once per lockstep tick (one device call covers every lane's

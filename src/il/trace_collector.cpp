@@ -60,8 +60,7 @@ TraceCollector::TraceCollector(const PlatformSpec& platform,
       power_model_(platform),
       thermal_(platform, floorplan_, cooling, config.integrator),
       grids_(std::move(config.level_grids)),
-      integrator_(config.integrator),
-      batched_solves_(config.batched_solves) {
+      integrator_(config.integrator) {
   if (grids_.empty()) {
     // Default reduced set: every second level, always including the top.
     for (ClusterId c = 0; c < platform.num_clusters(); ++c) {
@@ -114,52 +113,6 @@ std::vector<double> TraceCollector::steady_temps_fixed_point(
   return node_temps;
 }
 
-void TraceCollector::direct_linearization(
-    const std::vector<std::size_t>& levels, std::vector<double>& kappa,
-    std::vector<double>& tref) const {
-  const Floorplan& fp = thermal_.floorplan();
-  kappa.assign(fp.nodes.size(), 0.0);
-  tref.assign(platform_->num_cores(), 0.0);
-  for (CoreId core = 0; core < platform_->num_cores(); ++core) {
-    const ClusterId cl = platform_->cluster_of_core(core);
-    const auto& spec = platform_->cluster(cl);
-    const double volt = spec.vf.at(levels[cl]).voltage_v;
-    kappa[fp.core_nodes[core]] = volt * spec.power.leak_g1_w_per_v_k;
-    tref[core] = spec.power.leak_tref_c;
-  }
-}
-
-void TraceCollector::assemble_direct_rhs(
-    const std::vector<std::size_t>& levels, const std::vector<double>& activity,
-    const std::vector<double>& kappa, const std::vector<double>& tref,
-    std::vector<double>& rhs) const {
-  const Floorplan& fp = thermal_.floorplan();
-  const std::size_t n_nodes = fp.nodes.size();
-
-  // Powers evaluated at the leakage reference temperature: the leakage
-  // contribution there is V*g0, i.e. exactly the constant part — as long
-  // as it is not clamped, which the caller's validation verifies.
-  const PowerBreakdown power =
-      power_model_.compute(levels, activity, tref, false);
-
-  rhs.assign(n_nodes, 0.0);
-  for (CoreId core = 0; core < platform_->num_cores(); ++core) {
-    rhs[fp.core_nodes[core]] += power.core_w[core];
-  }
-  for (ClusterId c = 0; c < platform_->num_clusters(); ++c) {
-    rhs[fp.cluster_nodes[c]] += power.uncore_w[c];
-  }
-  if (fp.npu_node != kNoNode) rhs[fp.npu_node] += power.npu_w;
-  const std::vector<double>& g_amb = thermal_.network().ambient_conductances();
-  const double ambient = thermal_.cooling().ambient_c;
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    rhs[i] += g_amb[i] * ambient;
-  }
-  for (CoreId core = 0; core < platform_->num_cores(); ++core) {
-    rhs[fp.core_nodes[core]] -= kappa[fp.core_nodes[core]] * tref[core];
-  }
-}
-
 const SteadyStateSolver& TraceCollector::solver_for(
     const std::vector<std::size_t>& levels,
     const std::vector<double>& kappa) const {
@@ -173,21 +126,6 @@ const SteadyStateSolver& TraceCollector::solver_for(
   return it->second;
 }
 
-bool TraceCollector::direct_linearization_clamps(
-    const std::vector<std::size_t>& levels, const std::vector<double>& tref,
-    const std::vector<double>& temps) const {
-  const Floorplan& fp = thermal_.floorplan();
-  for (CoreId core = 0; core < platform_->num_cores(); ++core) {
-    const ClusterId cl = platform_->cluster_of_core(core);
-    const double t = temps[fp.core_nodes[core]];
-    if (power_model_.core_leakage_w(cl, levels[cl], t) <= 0.0 ||
-        power_model_.core_leakage_w(cl, levels[cl], tref[core]) <= 0.0) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<double> TraceCollector::steady_temps_direct(
     const std::vector<std::size_t>& levels,
     const std::vector<double>& activity) const {
@@ -197,55 +135,53 @@ std::vector<double> TraceCollector::steady_temps_direct(
   // single linear solve (L - diag(kappa)) T = P(tref) - kappa*tref + Gamb*Tamb,
   // factored once per VF-level combination and reused for every activity
   // assignment and background combination of the sweep.
-  std::vector<double> kappa, tref;
-  direct_linearization(levels, kappa, tref);
+  const Floorplan& fp = thermal_.floorplan();
+  const std::size_t n_nodes = fp.nodes.size();
+  std::vector<double> kappa(n_nodes, 0.0);
+  std::vector<double> tref(platform_->num_cores(), 0.0);
+  for (CoreId core = 0; core < platform_->num_cores(); ++core) {
+    const ClusterId cl = platform_->cluster_of_core(core);
+    const auto& spec = platform_->cluster(cl);
+    const double volt = spec.vf.at(levels[cl]).voltage_v;
+    kappa[fp.core_nodes[core]] = volt * spec.power.leak_g1_w_per_v_k;
+    tref[core] = spec.power.leak_tref_c;
+  }
 
-  std::vector<double> temps;
-  assemble_direct_rhs(levels, activity, kappa, tref, temps);
+  // Powers evaluated at the leakage reference temperature: the leakage
+  // contribution there is V*g0, i.e. exactly the constant part — as long
+  // as it is not clamped, which the validation below verifies.
+  const PowerBreakdown power =
+      power_model_.compute(levels, activity, tref, false);
+  std::vector<double> temps(n_nodes, 0.0);
+  for (CoreId core = 0; core < platform_->num_cores(); ++core) {
+    temps[fp.core_nodes[core]] += power.core_w[core];
+  }
+  for (ClusterId c = 0; c < platform_->num_clusters(); ++c) {
+    temps[fp.cluster_nodes[c]] += power.uncore_w[c];
+  }
+  if (fp.npu_node != kNoNode) temps[fp.npu_node] += power.npu_w;
+  const std::vector<double>& g_amb = thermal_.network().ambient_conductances();
+  const double ambient = thermal_.cooling().ambient_c;
+  for (std::size_t i = 0; i < n_nodes; ++i) {
+    temps[i] += g_amb[i] * ambient;
+  }
+  for (CoreId core = 0; core < platform_->num_cores(); ++core) {
+    temps[fp.core_nodes[core]] -= kappa[fp.core_nodes[core]] * tref[core];
+  }
   solver_for(levels, kappa).solve_rhs_into(temps);
 
   // Validate the linearization: if any core's leakage would clamp at zero
   // at the solved temperature (or already at tref), the linear model does
   // not hold — fall back to the clamp-aware fixed-point iteration.
-  if (direct_linearization_clamps(levels, tref, temps)) {
-    return steady_temps_fixed_point(levels, activity);
-  }
-  return temps;
-}
-
-std::vector<std::vector<double>> TraceCollector::steady_temps_direct_many(
-    const std::vector<std::size_t>& levels,
-    const std::vector<std::vector<double>>& activities) const {
-  TOPIL_REQUIRE(!activities.empty(), "no activity assignments to solve");
-  const std::size_t n_nodes = thermal_.floorplan().nodes.size();
-  const std::size_t lanes = activities.size();
-
-  std::vector<double> kappa, tref;
-  direct_linearization(levels, kappa, tref);
-
-  // Node-major slab (node * lanes + lane, like SteadyStateSolver::
-  // solve_many_rhs_into expects): one rhs column per activity assignment,
-  // assembled by the exact scalar routine so each column's values are
-  // bit-identical to a scalar solve's input.
-  std::vector<double> slab(n_nodes * lanes);
-  std::vector<double> rhs;
-  for (std::size_t s = 0; s < lanes; ++s) {
-    assemble_direct_rhs(levels, activities[s], kappa, tref, rhs);
-    for (std::size_t i = 0; i < n_nodes; ++i) slab[i * lanes + s] = rhs[i];
-  }
-
-  solver_for(levels, kappa).solve_many_rhs_into(slab, lanes);
-
-  std::vector<std::vector<double>> out(lanes);
-  for (std::size_t s = 0; s < lanes; ++s) {
-    std::vector<double>& temps = out[s];
-    temps.resize(n_nodes);
-    for (std::size_t i = 0; i < n_nodes; ++i) temps[i] = slab[i * lanes + s];
-    if (direct_linearization_clamps(levels, tref, temps)) {
-      temps = steady_temps_fixed_point(levels, activities[s]);
+  for (CoreId core = 0; core < platform_->num_cores(); ++core) {
+    const ClusterId cl = platform_->cluster_of_core(core);
+    const double t = temps[fp.core_nodes[core]];
+    if (power_model_.core_leakage_w(cl, levels[cl], t) <= 0.0 ||
+        power_model_.core_leakage_w(cl, levels[cl], tref[core]) <= 0.0) {
+      return steady_temps_fixed_point(levels, activity);
     }
   }
-  return out;
+  return temps;
 }
 
 ScenarioTraces TraceCollector::collect(const Scenario& scenario) const {
@@ -267,10 +203,6 @@ ScenarioTraces TraceCollector::collect(const Scenario& scenario) const {
   while (!done) {
     for (ClusterId c = 0; c < combo.size(); ++c) combo[c] = grids_[c][idx[c]];
 
-    // One activity assignment per AoI placement: the background entries
-    // are identical across placements, only the AoI core's entry moves.
-    std::vector<std::vector<double>> activities;
-    activities.reserve(free.size());
     for (CoreId aoi_core : free) {
       const ClusterId aoi_cluster = platform_->cluster_of_core(aoi_core);
       std::vector<double> activity(platform_->num_cores(), 0.0);
@@ -279,26 +211,10 @@ ScenarioTraces TraceCollector::collect(const Scenario& scenario) const {
         activity[core] = app->phase(0).perf[cl].activity;
       }
       activity[aoi_core] = scenario.aoi->phase(0).perf[aoi_cluster].activity;
-      activities.push_back(std::move(activity));
-    }
 
-    std::vector<std::vector<double>> temp_cols;
-    if (batched_solves_ && integrator_ == ThermalIntegrator::Exponential) {
-      temp_cols = steady_temps_direct_many(combo, activities);
-    } else {
-      temp_cols.reserve(free.size());
-      for (std::size_t s = 0; s < free.size(); ++s) {
-        temp_cols.push_back(steady_temps(combo, activities[s]));
-      }
-    }
-
-    for (std::size_t s = 0; s < free.size(); ++s) {
-      const CoreId aoi_core = free[s];
-      const ClusterId aoi_cluster = platform_->cluster_of_core(aoi_core);
       const double aoi_freq =
           platform_->cluster(aoi_cluster).vf.at(combo[aoi_cluster]).freq_ghz;
-
-      const std::vector<double>& temps = temp_cols[s];
+      const std::vector<double> temps = steady_temps(combo, activity);
       double peak = temps[thermal_.floorplan().core_nodes[0]];
       for (CoreId core = 1; core < platform_->num_cores(); ++core) {
         peak = std::max(peak, temps[thermal_.floorplan().core_nodes[core]]);

@@ -74,13 +74,6 @@ class TraceCollector {
     /// (leakage is linear in temperature while unclamped) with one cached
     /// LU factorization per VF-level combination.
     ThermalIntegrator integrator = ThermalIntegrator::Heun;
-    /// With the Exponential direct solver: solve every free-core AoI
-    /// placement of one VF combination in a single SoA substitution sweep
-    /// (SteadyStateSolver::solve_many_rhs_into — the factorization and the
-    /// leakage linearization depend only on the levels, not the activity).
-    /// Bit-identical to per-placement solves; columns whose linearization
-    /// clamps fall back per-column to the fixed-point iteration.
-    bool batched_solves = false;
   };
 
   TraceCollector(const PlatformSpec& platform, const CoolingConfig& cooling);
@@ -111,7 +104,6 @@ class TraceCollector {
   ThermalModel thermal_;
   std::vector<std::vector<std::size_t>> grids_;
   ThermalIntegrator integrator_ = ThermalIntegrator::Heun;
-  bool batched_solves_ = false;
   /// One factored coupled-steady-state solver per VF-level combination
   /// (the leakage feedback depends only on cluster voltages). Shared by
   /// the pool workers of collect_all, hence the mutex.
@@ -124,34 +116,8 @@ class TraceCollector {
   std::vector<double> steady_temps_direct(
       const std::vector<std::size_t>& levels,
       const std::vector<double>& activity) const;
-  /// Direct solves for many activity assignments sharing one VF-level
-  /// combination: one node-major rhs slab, one SoA substitution sweep.
-  /// Each column is bit-identical to steady_temps_direct on the same
-  /// activity (including the per-column fixed-point fallback when that
-  /// column's linearization clamps).
-  std::vector<std::vector<double>> steady_temps_direct_many(
-      const std::vector<std::size_t>& levels,
-      const std::vector<std::vector<double>>& activities) const;
-
-  /// Leakage linearization shared by all direct solves of one VF-level
-  /// combination: kappa (per node) and the reference temperature (per
-  /// core) depend only on the levels.
-  void direct_linearization(const std::vector<std::size_t>& levels,
-                            std::vector<double>& kappa,
-                            std::vector<double>& tref) const;
-  void assemble_direct_rhs(const std::vector<std::size_t>& levels,
-                           const std::vector<double>& activity,
-                           const std::vector<double>& kappa,
-                           const std::vector<double>& tref,
-                           std::vector<double>& rhs) const;
   const SteadyStateSolver& solver_for(const std::vector<std::size_t>& levels,
                                       const std::vector<double>& kappa) const;
-  /// True when some core's leakage clamps at zero at the solved
-  /// temperature (or already at tref) — the linear model does not hold and
-  /// the caller must fall back to the clamp-aware fixed-point iteration.
-  bool direct_linearization_clamps(const std::vector<std::size_t>& levels,
-                                   const std::vector<double>& tref,
-                                   const std::vector<double>& temps) const;
 };
 
 }  // namespace topil::il

@@ -7,33 +7,11 @@
 
 namespace topil::npu {
 
-double NpuLatencyModel::latency_s(std::size_t batch_rows,
-                                  double macs_per_row) const {
-  TOPIL_REQUIRE(batch_rows > 0, "empty batch");
-  const double waves = std::ceil(static_cast<double>(batch_rows) /
-                                 static_cast<double>(batch_parallelism));
-  const double compute =
-      macs_per_row * static_cast<double>(batch_rows) / device_macs_per_s;
-  return fixed_s + waves * per_tile_s + compute;
-}
-
 double CpuInferenceModel::latency_s(std::size_t batch_rows,
                                     double macs_per_row) const {
   TOPIL_REQUIRE(batch_rows > 0, "empty batch");
   return fixed_s +
          macs_per_row * static_cast<double>(batch_rows) / macs_per_s;
-}
-
-NpuCostModel NpuCostModel::from_legacy(const NpuLatencyModel& legacy) {
-  NpuCostModel cost;
-  cost.fixed_s = legacy.fixed_s;
-  cost.pe_rows = legacy.batch_parallelism;
-  cost.macs_per_s = legacy.device_macs_per_s;
-  // The legacy model charged per_tile_s per wave for the WHOLE net; the
-  // paper's policy net has 5 dense layers, so one layer's single-col-tile
-  // launch gets a fifth of that.
-  cost.tile_launch_s = legacy.per_tile_s / 5.0;
-  return cost;
 }
 
 double NpuCostModel::layer_latency_s(std::size_t batch_rows, std::size_t in,

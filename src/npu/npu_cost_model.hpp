@@ -6,26 +6,6 @@
 
 namespace topil::npu {
 
-/// Legacy constant-latency model of the NPU (kept as the calibration
-/// anchor: `NpuCostModel::from_legacy` derives the per-layer model's
-/// defaults from it, and the fig11 overhead benchmark still plots it).
-///
-/// A batched inference costs a fixed driver/DMA overhead plus a per-wave
-/// compute term; the device processes `batch_parallelism` rows in parallel,
-/// so latency is essentially constant for the batch sizes a governor uses
-/// (one row per running application). This reproduces the paper's
-/// observation that the NPU-accelerated migration policy has a constant
-/// overhead regardless of the number of applications, while CPU inference
-/// scales linearly.
-struct NpuLatencyModel {
-  double fixed_s = 1.2e-3;         ///< driver call + DMA round trip
-  double per_tile_s = 8.0e-5;      ///< one parallel wave of rows
-  std::size_t batch_parallelism = 16;
-  double device_macs_per_s = 1.92e12;  ///< Kirin 970 NPU peak (fp16)
-
-  double latency_s(std::size_t batch_rows, double macs_per_row) const;
-};
-
 /// CPU-side single-thread inference cost (mobile core, fp32, used by the
 /// overhead benchmark to contrast against the NPU).
 struct CpuInferenceModel {
@@ -54,26 +34,20 @@ struct CpuInferenceModel {
 /// batch, not per row, so latency-per-row falls as the batch grows — the
 /// paper's batching claim becomes a model property instead of a constant.
 ///
-/// `queueing` (default OFF) makes the device serialize jobs behind a
-/// busy-until horizon, modeling multi-tenant contention when several
-/// aggregated batches land on one NPU. It is opt-in because the pinned
-/// digests and the fleet-vs-scalar bit-identity contract assume an
-/// uncontended device.
+/// The defaults are the calibration: a 1.2 ms driver/DMA round trip and an
+/// 80 us wave of 16 rows split evenly over the paper net's 5 dense layers,
+/// so the paper-scale policy net ({21,64x4,8}) costs ~1.28 ms at 1-16 rows.
 struct NpuCostModel {
   double fixed_s = 1.2e-3;        ///< driver call + DMA round trip
   std::size_t pe_rows = 16;       ///< systolic rows (batch wave width)
   std::size_t pe_cols = 64;       ///< systolic cols (output-channel tile)
-  double tile_launch_s = 1.6e-5;  ///< per (wave, col-tile) launch cost
+  /// Per (wave, col-tile) launch cost: the 80 us wave over 5 layers. The
+  /// quotient rounds one ulp above the literal 1.6e-5; it is the value
+  /// every recorded run was charged with, so it stays a quotient.
+  double tile_launch_s = 8.0e-5 / 5.0;
   double macs_per_s = 1.92e12;    ///< fp16 MAC throughput
   double weight_bytes_per_s = 12.0e9;  ///< LPDDR4X weight stream
   double act_bytes_per_s = 12.0e9;     ///< activation DMA
-  bool queueing = false;          ///< serialize jobs behind busy_until
-
-  /// Defaults calibrated so the paper-scale policy net ({21,64x4,8},
-  /// batch 16) lands where the legacy constant model put it (~1.28 ms):
-  /// fixed/wave/MAC terms carry over, the per-wave cost is split across
-  /// the 5 layers of the calibration net.
-  static NpuCostModel from_legacy(const NpuLatencyModel& legacy);
 
   double layer_latency_s(std::size_t batch_rows, std::size_t in,
                          std::size_t out) const;

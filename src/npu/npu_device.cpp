@@ -1,39 +1,19 @@
 #include "npu/npu_device.hpp"
 
-#include <algorithm>
-
 #include "npu/batch_aggregator.hpp"
 
 namespace topil::npu {
-
-NpuDevice::NpuDevice(NpuLatencyModel latency)
-    : legacy_(latency), cost_(NpuCostModel::from_legacy(latency)) {}
-
-NpuDevice::NpuDevice(NpuCostModel cost) : cost_(cost) {}
 
 double NpuDevice::latency_s(const CompiledModel& model,
                             std::size_t batch_rows) const {
   return cost_.latency_s(model.topology(), batch_rows);
 }
 
-double NpuDevice::latency_s(std::size_t batch_rows,
-                            double macs_per_row) const {
-  return legacy_.latency_s(batch_rows, macs_per_row);
-}
-
 NpuDevice::JobId NpuDevice::submit(const CompiledModel& model,
                                    const nn::Matrix& input, double now) {
   TOPIL_REQUIRE(input.rows() > 0, "empty inference batch");
   Job job;
-  const double service = cost_.latency_s(model.topology(), input.rows());
-  double start = now;
-  if (cost_.queueing) {
-    start = std::max(now, busy_until_);
-  }
-  job.done_at = start + service;
-  if (cost_.queueing) {
-    busy_until_ = job.done_at;
-  }
+  job.done_at = now + cost_.latency_s(model.topology(), input.rows());
   if (aggregator_ == nullptr) {
     model.infer_batched_into(input, job.result, ws_);
   }

@@ -23,11 +23,7 @@ class NpuDevice {
  public:
   using JobId = std::size_t;
 
-  /// Legacy-calibrated construction: derives the per-layer cost model via
-  /// NpuCostModel::from_legacy.
-  explicit NpuDevice(NpuLatencyModel latency = {});
-  /// Direct cost-model construction (e.g. with queueing enabled).
-  explicit NpuDevice(NpuCostModel cost);
+  explicit NpuDevice(NpuCostModel cost = {}) : cost_(cost) {}
 
   /// Submit a non-blocking inference job at time `now`.
   JobId submit(const CompiledModel& model, const nn::Matrix& input,
@@ -40,12 +36,9 @@ class NpuDevice {
   /// Retrieve (and discard) the result; requires ready().
   nn::Matrix take_result(JobId job, double now);
 
-  /// Service latency the device would need for the given job (per-layer
-  /// cost model; excludes any queueing delay behind in-flight jobs).
+  /// Service latency of a job of `batch_rows` rows (per-layer cost
+  /// model). Jobs do not queue: each completes this long after submit.
   double latency_s(const CompiledModel& model, std::size_t batch_rows) const;
-  /// Shape-free legacy estimate from total MACs per row (fig11 contrast
-  /// plots); kept calibrated against the legacy constant-latency model.
-  double latency_s(std::size_t batch_rows, double macs_per_row) const;
 
   const NpuCostModel& cost_model() const { return cost_; }
 
@@ -72,9 +65,7 @@ class NpuDevice {
     nn::Matrix result;
   };
 
-  NpuLatencyModel legacy_;
   NpuCostModel cost_;
-  double busy_until_ = 0.0;  ///< queueing horizon (cost_.queueing only)
   JobId next_id_ = 1;
   std::map<JobId, Job> jobs_;
   nn::InferenceWorkspace ws_;  ///< reused across submitted jobs

@@ -424,7 +424,6 @@ void SnapshotAccess::restore(StateReader& in, GtsScheduler& scheduler) {
 
 void SnapshotAccess::save(StateWriter& out, const npu::NpuDevice& device) {
   out.tag("NPU ");
-  out.f64(device.busy_until_);
   out.u64(device.next_id_);
   out.u64(device.jobs_.size());
   for (const auto& [id, job] : device.jobs_) {
@@ -436,7 +435,6 @@ void SnapshotAccess::save(StateWriter& out, const npu::NpuDevice& device) {
 
 void SnapshotAccess::restore(StateReader& in, npu::NpuDevice& device) {
   in.expect_tag("NPU ");
-  device.busy_until_ = in.f64();
   device.next_id_ = in.size();
   const std::size_t jobs = in.size();
   TOPIL_REQUIRE(jobs * 16 <= in.remaining(),

@@ -89,54 +89,28 @@ ScenarioOutcome decode_journal_scenario(const std::string& payload) {
 void run_fleet_stage(const CampaignConfig& config,
                      std::vector<ScenarioOutcome>& outcomes) {
   std::vector<ScenarioOutcome*> executed;
+  std::vector<const ScenarioSpec*> specs;
   for (ScenarioOutcome& out : outcomes) {
     // Restored outcomes already carry their fleet-stage verdict from the
     // original run (the journal is written after the fleet stage).
     if (out.status != ScenarioStatus::Skipped && !out.restored) {
       executed.push_back(&out);
+      specs.push_back(&out.spec);
     }
   }
   if (executed.empty()) return;
 
-  std::vector<MaterializedScenario> ms;
-  ms.reserve(executed.size());
-  std::deque<validate::DigestMonitor> monitors(executed.size());
-  std::vector<fleet::FleetJob> jobs;
-  jobs.reserve(executed.size());
-  for (std::size_t i = 0; i < executed.size(); ++i) {
-    const ScenarioSpec& spec = executed[i]->spec;
-    ms.push_back(materialize(spec));
-    fleet::FleetJob job;
-    job.platform = &ms.back().platform;
-    job.workload = &ms.back().workload;
-    job.config.cooling = ms.back().cooling;
-    job.config.sim = ms.back().sim;
-    job.config.sim.integrator = ThermalIntegrator::Exponential;
-    job.config.max_duration_s = ms.back().max_duration_s;
-    job.config.monitor = &monitors[i];
-    const MaterializedScenario* m = &ms.back();
-    job.make_governor = [&spec, m](npu::InferenceAggregator*) {
-      return make_scenario_governor(spec.governor, m->platform,
-                                    spec.sim_seed);
-    };
-    jobs.push_back(std::move(job));
-  }
-
-  fleet::FleetOptions options;
-  options.batch = config.fleet_batch;
-  options.jobs = config.jobs;
-  fleet::run_experiments(jobs, options);
-
+  const std::vector<LaneDigest> lanes =
+      replay_through_fleet(specs, config.fleet_batch, config.jobs);
   for (std::size_t i = 0; i < executed.size(); ++i) {
     ScenarioOutcome& out = *executed[i];
-    if (monitors[i].digest() == out.exp_digest &&
-        monitors[i].ticks() == out.exp_ticks) {
+    if (lanes[i].digest == out.exp_digest && lanes[i].ticks == out.exp_ticks) {
       continue;
     }
     out.findings.push_back(
         {"fleet-determinism",
-         "fleet replay digest " + validate::digest_hex(monitors[i].digest()) +
-             " (" + std::to_string(monitors[i].ticks()) +
+         "fleet replay digest " + validate::digest_hex(lanes[i].digest) +
+             " (" + std::to_string(lanes[i].ticks) +
              " ticks) != scalar exponential " +
              validate::digest_hex(out.exp_digest) + " (" +
              std::to_string(out.exp_ticks) + " ticks) at batch " +
@@ -155,6 +129,44 @@ bool only_fleet_findings(const ScenarioOutcome& out) {
 }
 
 }  // namespace
+
+std::vector<LaneDigest> replay_through_fleet(
+    const std::vector<const ScenarioSpec*>& specs, std::size_t batch,
+    std::size_t jobs) {
+  std::deque<MaterializedScenario> ms;
+  std::deque<validate::DigestMonitor> monitors(specs.size());
+  std::vector<fleet::FleetJob> fleet_jobs;
+  fleet_jobs.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const ScenarioSpec* spec = specs[i];
+    const MaterializedScenario* m = &ms.emplace_back(materialize(*spec));
+    fleet::FleetJob job;
+    job.platform = &m->platform;
+    job.workload = &m->workload;
+    job.config.cooling = m->cooling;
+    job.config.sim = m->sim;
+    job.config.sim.integrator = ThermalIntegrator::Exponential;
+    job.config.max_duration_s = m->max_duration_s;
+    job.config.monitor = &monitors[i];
+    job.make_governor = [spec, m](npu::InferenceAggregator*) {
+      return make_scenario_governor(spec->governor, m->platform,
+                                    spec->sim_seed);
+    };
+    fleet_jobs.push_back(std::move(job));
+  }
+
+  fleet::FleetOptions options;
+  options.batch = batch;
+  options.jobs = jobs;
+  fleet::run_experiments(fleet_jobs, options);
+
+  std::vector<LaneDigest> lanes;
+  lanes.reserve(specs.size());
+  for (const validate::DigestMonitor& monitor : monitors) {
+    lanes.push_back({monitor.digest(), monitor.ticks()});
+  }
+  return lanes;
+}
 
 CampaignResult run_campaign(const CampaignConfig& config) {
   TOPIL_REQUIRE(config.count >= 1, "campaign: need at least one scenario");

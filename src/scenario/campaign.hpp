@@ -86,4 +86,19 @@ struct CampaignResult {
 /// pool, then shrink failures serially and serialize their reproducers.
 CampaignResult run_campaign(const CampaignConfig& config);
 
+/// Trace digest and tick count of one fleet lane.
+struct LaneDigest {
+  std::uint64_t digest = 0;
+  std::uint64_t ticks = 0;
+};
+
+/// Run every spec as one lane of the lockstep fleet engine
+/// (fleet::run_experiments, exponential integrator, `batch` lanes per
+/// batch, `jobs` workers with 0 = hardware concurrency) and return each
+/// lane's digest in input order. Each must equal the scalar exponential
+/// run of its spec (DESIGN.md §10); the caller compares and reports.
+std::vector<LaneDigest> replay_through_fleet(
+    const std::vector<const ScenarioSpec*>& specs, std::size_t batch,
+    std::size_t jobs);
+
 }  // namespace topil::scenario

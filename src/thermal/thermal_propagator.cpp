@@ -432,44 +432,6 @@ void SteadyStateSolver::solve_rhs_into(
   }
 }
 
-void SteadyStateSolver::solve_many_rhs_into(
-    std::vector<double>& rhs_in_temps_out, std::size_t lanes) const {
-  TOPIL_REQUIRE(lanes > 0, "empty batch");
-  TOPIL_REQUIRE(rhs_in_temps_out.size() == n_ * lanes, "rhs slab size");
-  const std::size_t n = n_;
-  std::vector<double>& x = rhs_in_temps_out;
-  // Same three phases as solve_rhs_into, applied column-wise: all pivot
-  // swaps, the unit-lower forward solve, then back substitution. Each
-  // column sees the exact scalar operation sequence; the inner lane loops
-  // are the vectorized dimension.
-  for (std::size_t col = 0; col < n; ++col) {
-    if (pivot_[col] != col) {
-      double* a = &x[col * lanes];
-      double* b = &x[pivot_[col] * lanes];
-      for (std::size_t s = 0; s < lanes; ++s) std::swap(a[s], b[s]);
-    }
-  }
-  for (std::size_t col = 0; col < n; ++col) {
-    const double* src = &x[col * lanes];
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = lu_[r * n + col];
-      if (factor == 0.0) continue;
-      double* dst = &x[r * lanes];
-      for (std::size_t s = 0; s < lanes; ++s) dst[s] -= factor * src[s];
-    }
-  }
-  for (std::size_t i = n; i-- > 0;) {
-    double* xi = &x[i * lanes];
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double lij = lu_[i * n + j];
-      const double* xj = &x[j * lanes];
-      for (std::size_t s = 0; s < lanes; ++s) xi[s] -= lij * xj[s];
-    }
-    const double diag = lu_[i * n + i];
-    for (std::size_t s = 0; s < lanes; ++s) xi[s] /= diag;
-  }
-}
-
 void SteadyStateSolver::solve_into(const std::vector<double>& power_w,
                                    double ambient_c,
                                    std::vector<double>& temps_c) const {

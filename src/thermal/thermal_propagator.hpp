@@ -118,15 +118,6 @@ class SteadyStateSolver {
   /// Solve against a fully caller-assembled right-hand side.
   void solve_rhs_into(std::vector<double>& rhs_in_temps_out) const;
 
-  /// Solve `lanes` right-hand sides in one SoA substitution sweep. The
-  /// slab is node-major (`i * lanes + s`, like ThermalPropagator::
-  /// step_batched); each column replays exactly the scalar solve_rhs_into
-  /// arithmetic, so per-column results are bit-identical to solving the
-  /// columns one at a time. Batched trace collection uses this to solve
-  /// every AoI placement of one VF combination at once.
-  void solve_many_rhs_into(std::vector<double>& rhs_in_temps_out,
-                           std::size_t lanes) const;
-
  private:
   std::size_t n_;
   std::vector<double> lu_;           ///< packed L\U factors, row-major

@@ -229,7 +229,7 @@ TEST_F(TopIlGovernorTest, SlowNpuDefersEpochInsteadOfSkippingIt) {
   sim.attach_monitor(&checker);
   TopIlGovernor::Config config;
   config.migration_period_s = 0.5;
-  config.npu_latency.fixed_s = 0.7;  // pathological: longer than the period
+  config.npu.fixed_s = 0.7;  // pathological: longer than the period
   TopIlGovernor governor(
       constant_policy(platform_, {0, 0, 0, 0, 0, 0, 0, 1}), config);
   governor.reset(sim);

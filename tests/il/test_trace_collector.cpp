@@ -126,39 +126,6 @@ TEST_F(TraceCollectorTest, ValidatesScenario) {
       InvalidArgument);
 }
 
-TEST_F(TraceCollectorTest, BatchedSolvesBitIdenticalToScalar) {
-  // The batched collector solves every AoI placement of one VF combination
-  // in a single SoA substitution sweep; each column must reproduce the
-  // scalar per-placement solve bit-for-bit.
-  TraceCollector::Config scalar_cfg;
-  scalar_cfg.integrator = ThermalIntegrator::Exponential;
-  TraceCollector::Config batched_cfg = scalar_cfg;
-  batched_cfg.batched_solves = true;
-  const TraceCollector scalar(platform_, CoolingConfig::fan(), scalar_cfg);
-  const TraceCollector batched(platform_, CoolingConfig::fan(), batched_cfg);
-
-  // Two scenarios: the 2-free-core paper example and an empty-background
-  // scenario where all 8 placements batch into one 8-column solve.
-  Scenario open;
-  open.aoi = &AppDatabase::instance().by_name("adi");
-  for (const Scenario& s : {seidel_scenario(), open}) {
-    const ScenarioTraces a = scalar.collect(s);
-    const ScenarioTraces b = batched.collect(s);
-    ASSERT_EQ(a.free_cores(), b.free_cores());
-    for (std::size_t li : a.grid(kLittleCluster)) {
-      for (std::size_t bi : a.grid(kBigCluster)) {
-        for (CoreId core : a.free_cores()) {
-          const TraceResult& ra = a.at({li, bi}, core);
-          const TraceResult& rb = b.at({li, bi}, core);
-          EXPECT_EQ(ra.peak_temp_c, rb.peak_temp_c);
-          EXPECT_EQ(ra.aoi_ips, rb.aoi_ips);
-          EXPECT_EQ(ra.aoi_l2d_rate, rb.aoi_l2d_rate);
-        }
-      }
-    }
-  }
-}
-
 TEST_F(TraceCollectorTest, SteadyTempsLeakageCoupledFixedPoint) {
   std::vector<double> activity(8, 1.0);
   const std::vector<std::size_t> top = {

@@ -109,7 +109,6 @@ void check_oracle_on_topology(const TopologySpec& topology,
   scenario.background[0] = pool.pointers[1];  // slowest tier's first core
   il::TraceCollector::Config config;
   config.integrator = ThermalIntegrator::Exponential;
-  config.batched_solves = true;
   const il::TraceCollector collector(soc, CoolingConfig::fan(), config);
   const il::ScenarioTraces traces = collector.collect(scenario);
   EXPECT_EQ(traces.free_cores().size(), soc.num_cores() - 1) << label;
@@ -158,7 +157,6 @@ TEST(TopologyAgnostic, DatasetBuildIsJobsIndependent) {
   config.num_scenarios = 4;
   config.max_background_apps = 2;
   config.traces.integrator = ThermalIntegrator::Exponential;
-  config.traces.batched_solves = true;
 
   config.jobs = 1;
   const il::Dataset serial =
@@ -189,7 +187,6 @@ il::DaggerConfig small_dagger(const std::vector<const AppSpec*>& pool) {
   config.training.hidden = {16};
   config.training.trainer.max_epochs = 6;
   config.training.trainer.patience = 6;
-  config.fleet_batch = 2;  // rollouts run as fleet-engine lockstep lanes
   config.app_pool = pool;
   config.seed = 13;
   return config;

@@ -10,12 +10,10 @@
 namespace topil::npu {
 namespace {
 
+const nn::Topology kPaperTopology{21, {64, 64, 64, 64}, 8};
+
 nn::Mlp small_model() {
-  nn::Topology t;
-  t.inputs = 21;
-  t.hidden = {64, 64, 64, 64};
-  t.outputs = 8;
-  nn::Mlp model(t);
+  nn::Mlp model(kPaperTopology);
   model.init(3);
   return model;
 }
@@ -84,33 +82,33 @@ TEST(CompiledModel, BatchedInferenceBitIdenticalToRowAtATime) {
 }
 
 TEST(NpuLatency, NearlyConstantInBatchSize) {
-  const NpuLatencyModel model;
-  const double macs = 14000.0;
-  const double t1 = model.latency_s(1, macs);
-  const double t16 = model.latency_s(16, macs);
+  const NpuCostModel model;
+  const double t1 = model.latency_s(kPaperTopology, 1);
+  const double t16 = model.latency_s(kPaperTopology, 16);
   // One wave of 16 rows: same tile count, negligible extra compute.
   EXPECT_LT(t16 / t1, 1.05);
   // 17 rows needs a second wave.
-  EXPECT_GT(model.latency_s(17, macs), t16);
+  EXPECT_GT(model.latency_s(kPaperTopology, 17), t16);
 }
 
 TEST(NpuLatency, PaperScaleLatency) {
   // The governor's policy batch must land in the low-millisecond range
   // the paper reports for the migration policy invocation.
-  const NpuLatencyModel model;
-  const double t = model.latency_s(16, 14144.0);
+  const NpuCostModel model;
+  const double t = model.latency_s(kPaperTopology, 16);
   EXPECT_GT(t, 0.5e-3);
   EXPECT_LT(t, 3e-3);
 }
 
 TEST(CpuInference, ScalesLinearlyAndSlower) {
   const CpuInferenceModel cpu;
-  const NpuLatencyModel npu;
+  const NpuCostModel npu;
   const double macs = 14144.0;
   const double cpu1 = cpu.latency_s(1, macs);
   const double cpu16 = cpu.latency_s(16, macs);
   EXPECT_GT(cpu16, cpu1 * 10.0);  // linear scaling
-  EXPECT_GT(cpu16, npu.latency_s(16, macs));  // NPU wins on big batches
+  // The NPU wins on big batches.
+  EXPECT_GT(cpu16, npu.latency_s(kPaperTopology, 16));
 }
 
 TEST(NpuDevice, AsyncJobLifecycle) {
@@ -175,7 +173,7 @@ TEST(NpuDevice, MultipleOutstandingJobs) {
 TEST(NpuDevice, RejectsEmptyBatch) {
   NpuDevice device;
   const CompiledModel compiled = CompiledModel::compile(small_model());
-  EXPECT_THROW(device.latency_s(0, 100.0), InvalidArgument);
+  EXPECT_THROW(device.latency_s(compiled, 0), InvalidArgument);
 }
 
 }  // namespace

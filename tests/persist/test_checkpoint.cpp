@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 
@@ -75,6 +77,26 @@ TEST(CheckpointFile, TrailingGarbageRejected) {
   write_checkpoint_file(path, "payload");
   append_bytes(path, "x");
   EXPECT_THROW(read_checkpoint_file(path), Error);
+}
+
+TEST(CheckpointFile, OlderVersionRefusedByHeader) {
+  // A version-1 payload still carries the NPU busy-until field that
+  // version 2 dropped; the header refuses it before the payload is read.
+  const std::string dir = scratch_dir("topc_version");
+  const std::string path = dir + "/state.ckpt";
+  write_checkpoint_file(path, "payload");
+  std::string bytes = read_file(path);
+  const std::uint32_t version_1 = 1;
+  std::memcpy(bytes.data() + 4, &version_1, sizeof(version_1));
+  write_file(path, bytes);
+  try {
+    read_checkpoint_file(path);
+    FAIL() << "a version-1 checkpoint was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointFile, MissingFileThrows) {

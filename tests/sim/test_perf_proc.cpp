@@ -2,7 +2,6 @@
 
 #include "apps/app_database.hpp"
 #include "sim/perf_counters.hpp"
-#include "sim/proc_fs.hpp"
 #include "sim/system_sim.hpp"
 
 namespace topil {
@@ -44,22 +43,8 @@ TEST_F(PerfProcTest, ReadAllReturnsSamplesAndChargesCost) {
               1e-12);
 }
 
-TEST_F(PerfProcTest, ProcFsListsGovernorVisibleState) {
-  sim_.spawn(app_, 3e8, 2);
-  sim_.run_for(0.2);
-  sim_.spawn(app_, 4e8, 6);
-  const auto procs = ProcFs::list(sim_);
-  ASSERT_EQ(procs.size(), 2u);
-  EXPECT_EQ(procs[0].core, 2u);
-  EXPECT_DOUBLE_EQ(procs[0].qos_target_ips, 3e8);
-  EXPECT_DOUBLE_EQ(procs[0].arrival_time, 0.0);
-  EXPECT_EQ(procs[1].core, 6u);
-  EXPECT_NEAR(procs[1].arrival_time, 0.2, 1e-9);
-}
-
 TEST_F(PerfProcTest, EmptySystemYieldsEmptyViews) {
   EXPECT_TRUE(PerfApi::read_all(sim_, "dvfs").empty());
-  EXPECT_TRUE(ProcFs::list(sim_).empty());
 }
 
 }  // namespace

@@ -12,10 +12,12 @@
 # run), run the governor-server gate
 # (protocol corruption fuzz under the sanitizer build, a perf_server soak
 # smoke, and a kill -9 + --resume digest-parity check on topil_serve), and
-# record the integrator perf gate (Heun vs exponential) to BENCH_pr3.json
-# plus the dense-kernel perf gate (perf_infer: production inference and
-# training kernels vs scalar reference) to BENCH_npu.json. Optionally run
-# the microbenchmark suite with a JSON report.
+# record the integrator perf gate (Heun vs exponential) plus the
+# dense-kernel perf gate (perf_infer: production inference and training
+# kernels vs scalar reference) into the build dir. A default run modifies
+# no tracked file; refreshing the committed BENCH_pr3.json or
+# BENCH_npu.json takes an explicit PERF_OUT=... or INFER_OUT=....
+# Optionally run the microbenchmark suite with a JSON report.
 #
 # Usage:
 #   tools/ci_check.sh [build-dir]
@@ -40,11 +42,12 @@
 #                   under the sanitizer build, perf_server --smoke, and a
 #                   kill -9 + --resume digest-parity check on topil_serve)
 #                   (default: 1)
-#   PERF_OUT        path for the PR3 perf record (default:
-#                   <repo>/BENCH_pr3.json); set to "" to skip the stage
+#   PERF_OUT        path for the integrator perf record (default:
+#                   <build-dir>/BENCH_pr3.json); set to "" to skip the
+#                   stage
 #   INFER_OUT       path for the inference perf record (default:
-#                   <repo>/BENCH_npu.json); set to "" to skip the full
-#                   run (the --smoke cross-check gate still executes)
+#                   <build-dir>/BENCH_npu.json); set to "" to skip the
+#                   full run (the --smoke cross-check gate still executes)
 #   BENCHMARK_OUT   if set, also run micro_substrate and write its
 #                   google-benchmark JSON report to this path
 set -euo pipefail
@@ -296,7 +299,7 @@ if [[ "${SERVER:-1}" != "0" ]]; then
        "$(wc -l < "${srv_tmp}/digests-golden") devices bit-identical"
 fi
 
-perf_out="${PERF_OUT-"${repo_root}/BENCH_pr3.json"}"
+perf_out="${PERF_OUT-"${build_dir}/BENCH_pr3.json"}"
 if [[ -n "${perf_out}" ]]; then
   echo "== perf gate (Heun vs exponential integrator) -> ${perf_out}"
   "${build_dir}/bench/perf_rollout" --jobs "${jobs}" --json "${perf_out}"
@@ -309,7 +312,7 @@ echo "== dense-kernel smoke gate (production kernels vs scalar reference)"
 "${build_dir}/bench/perf_infer" --smoke \
   --json "${build_dir}/BENCH_npu_smoke.json"
 
-infer_out="${INFER_OUT-"${repo_root}/BENCH_npu.json"}"
+infer_out="${INFER_OUT-"${build_dir}/BENCH_npu.json"}"
 if [[ -n "${infer_out}" ]]; then
   echo "== dense-kernel perf gate (batch-size curves) -> ${infer_out}"
   "${build_dir}/bench/perf_infer" --json "${infer_out}"

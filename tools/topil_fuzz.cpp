@@ -13,7 +13,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -22,8 +21,6 @@
 #include <vector>
 
 #include "scenario/campaign.hpp"
-#include "sim/fleet/batch_runner.hpp"
-#include "validate/digest_monitor.hpp"
 #include "validate/state_digest.hpp"
 
 namespace {
@@ -173,48 +170,27 @@ struct ReplayEntry {
 };
 
 /// Replay every entry through the lockstep fleet engine (exponential
-/// integrator, `batch` lanes per batch) and require each lane to reproduce
-/// its scalar exponential digest bit-for-bit. Mirrors the campaign's
-/// fleet-determinism stage, but against the committed corpus.
-void replay_fleet_stage(std::vector<ReplayEntry>& entries, std::size_t batch) {
-  std::deque<MaterializedScenario> ms;
-  std::deque<validate::DigestMonitor> monitors(entries.size());
-  std::vector<fleet::FleetJob> jobs;
-  jobs.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    ms.push_back(materialize(entries[i].spec));
-    const MaterializedScenario* m = &ms.back();
-    fleet::FleetJob job;
-    job.platform = &m->platform;
-    job.workload = &m->workload;
-    job.config.cooling = m->cooling;
-    job.config.sim = m->sim;
-    job.config.sim.integrator = ThermalIntegrator::Exponential;
-    job.config.max_duration_s = m->max_duration_s;
-    job.config.monitor = &monitors[i];
-    const ScenarioSpec* spec = &entries[i].spec;
-    job.make_governor = [spec, m](npu::InferenceAggregator*) {
-      return make_scenario_governor(spec->governor, m->platform,
-                                    spec->sim_seed);
-    };
-    jobs.push_back(std::move(job));
-  }
-
-  fleet::FleetOptions options;
-  options.batch = batch;
-  fleet::run_experiments(jobs, options);
+/// integrator, `batch` lanes per batch, `jobs` workers) and require each
+/// lane to reproduce its scalar exponential digest bit-for-bit. Mirrors the
+/// campaign's fleet-determinism stage, but against the committed corpus.
+void replay_fleet_stage(std::vector<ReplayEntry>& entries, std::size_t batch,
+                        std::size_t jobs) {
+  std::vector<const ScenarioSpec*> specs;
+  specs.reserve(entries.size());
+  for (const ReplayEntry& e : entries) specs.push_back(&e.spec);
+  const std::vector<LaneDigest> lanes =
+      replay_through_fleet(specs, batch, jobs);
 
   for (std::size_t i = 0; i < entries.size(); ++i) {
     ReplayEntry& e = entries[i];
-    if (monitors[i].digest() == e.result.exp_digest &&
-        monitors[i].ticks() == e.result.exp_ticks) {
+    if (lanes[i].digest == e.result.exp_digest &&
+        lanes[i].ticks == e.result.exp_ticks) {
       continue;
     }
     std::printf("FAIL %s  fleet digest %s (%llu ticks) != scalar %s "
                 "(%llu ticks) at batch %zu\n",
-                e.path.c_str(),
-                validate::digest_hex(monitors[i].digest()).c_str(),
-                static_cast<unsigned long long>(monitors[i].ticks()),
+                e.path.c_str(), validate::digest_hex(lanes[i].digest).c_str(),
+                static_cast<unsigned long long>(lanes[i].ticks),
                 validate::digest_hex(e.result.exp_digest).c_str(),
                 static_cast<unsigned long long>(e.result.exp_ticks), batch);
     e.failed = true;
@@ -287,7 +263,9 @@ int replay(const Options& opt) {
     entries.push_back(std::move(e));
   }
 
-  if (opt.fleet_batch > 1) replay_fleet_stage(entries, opt.fleet_batch);
+  if (opt.fleet_batch > 1) {
+    replay_fleet_stage(entries, opt.fleet_batch, opt.jobs);
+  }
   if (!opt.update_golden.empty()) write_golden(opt.update_golden, entries);
   if (!opt.golden.empty()) check_golden(opt.golden, entries);
 
