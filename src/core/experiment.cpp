@@ -10,73 +10,66 @@ double ExperimentResult::qos_violation_fraction() const {
          static_cast<double>(apps_completed);
 }
 
-bool experiment_loop_head(SystemSim& sim, Governor& governor,
-                          const Workload& workload, double max_duration_s,
-                          std::size_t& next_arrival) {
-  if (!(sim.now() < max_duration_s)) return false;
-  // Spawn every application whose arrival time has come.
-  const auto& items = workload.items();
-  while (next_arrival < items.size() &&
-         items[next_arrival].arrival_time <= sim.now() + 1e-9) {
-    const WorkloadItem& item = items[next_arrival];
-    const AppSpec& app = Workload::app_of(item);
-    const CoreId core = governor.place(sim, app, item.qos_target_ips);
-    sim.spawn(app, item.qos_target_ips, core);
-    ++next_arrival;
+ExperimentRun::ExperimentRun(const PlatformSpec& platform, Governor& governor,
+                             const Workload& workload,
+                             const ExperimentConfig& config)
+    : governor_(governor),
+      workload_(workload),
+      max_duration_s_(config.max_duration_s),
+      observer_(config.observer),
+      sim_(platform, config.cooling, config.sim) {
+  TOPIL_REQUIRE(!workload.empty(), "empty workload");
+  if (config.sim.validate) {
+    checker_ = std::make_unique<validate::InvariantChecker>(config.validation);
+    sim_.attach_monitor(checker_.get());
   }
-  if (next_arrival == items.size() && sim.num_running() == 0) return false;
-  governor.tick(sim);
+  if (config.monitor != nullptr) sim_.attach_monitor(config.monitor);
+  governor_.reset(sim_);
+}
+
+ExperimentRun::~ExperimentRun() = default;
+
+bool ExperimentRun::pre_tick() {
+  if (!(sim_.now() < max_duration_s_)) return false;
+  // Spawn every application whose arrival time has come.
+  const auto& items = workload_.items();
+  while (next_arrival_ < items.size() &&
+         items[next_arrival_].arrival_time <= sim_.now() + 1e-9) {
+    const WorkloadItem& item = items[next_arrival_];
+    const AppSpec& app = Workload::app_of(item);
+    const CoreId core = governor_.place(sim_, app, item.qos_target_ips);
+    sim_.spawn(app, item.qos_target_ips, core);
+    ++next_arrival_;
+  }
+  if (next_arrival_ == items.size() && sim_.num_running() == 0) return false;
+  governor_.tick(sim_);
   return true;
 }
 
-ExperimentResult run_experiment(const PlatformSpec& platform,
-                                Governor& governor, const Workload& workload,
-                                const ExperimentConfig& config) {
-  TOPIL_REQUIRE(!workload.empty(), "empty workload");
-  SystemSim sim(platform, config.cooling, config.sim);
-
-  TOPIL_REQUIRE(!(config.sim.validate && config.monitor != nullptr),
-                "sim.validate and a custom monitor are mutually exclusive");
-  std::unique_ptr<validate::InvariantChecker> checker;
-  if (config.sim.validate) {
-    checker = std::make_unique<validate::InvariantChecker>(config.validation);
-    sim.attach_monitor(checker.get());
-  } else if (config.monitor != nullptr) {
-    sim.attach_monitor(config.monitor);
-  }
-
-  governor.reset(sim);
-
-  std::size_t next_arrival = 0;
-  while (experiment_loop_head(sim, governor, workload,
-                              config.max_duration_s, next_arrival)) {
-    sim.step();
-    if (config.observer) config.observer(sim);
-  }
-
-  ExperimentResult result =
-      assemble_experiment_result(sim, governor, workload.size());
-  if (checker != nullptr) {
-    result.validation =
-        std::make_shared<validate::ValidationReport>(checker->report());
-    sim.attach_monitor(nullptr);
-  }
-  return result;
+bool ExperimentRun::step() {
+  if (!pre_tick()) return false;
+  sim_.step();
+  if (observer_) observer_(sim_);
+  return true;
 }
 
-ExperimentResult assemble_experiment_result(const SystemSim& sim,
-                                            const Governor& governor,
-                                            std::size_t apps_total) {
-  const Metrics& metrics = sim.metrics();
-  const PlatformSpec& platform = sim.platform();
+void ExperimentRun::set_next_arrival(std::size_t next_arrival) {
+  TOPIL_REQUIRE(next_arrival <= workload_.size(),
+                "arrival cursor past the end of the workload");
+  next_arrival_ = next_arrival;
+}
+
+ExperimentResult ExperimentRun::result() const {
+  const Metrics& metrics = sim_.metrics();
+  const PlatformSpec& platform = sim_.platform();
   ExperimentResult result;
-  result.governor = governor.name();
+  result.governor = governor_.name();
   result.avg_temp_c = metrics.average_temp_c();
   result.peak_temp_c = metrics.peak_temp_c();
   result.qos_violations = metrics.qos_violations();
   result.apps_completed = metrics.completed().size();
-  result.apps_total = apps_total;
-  result.duration_s = sim.now();
+  result.apps_total = workload_.size();
+  result.duration_s = sim_.now();
   result.avg_utilization = metrics.average_utilization();
   result.peak_utilization = metrics.peak_utilization();
   result.throttle_events = metrics.throttle_events();
@@ -91,7 +84,20 @@ ExperimentResult assemble_experiment_result(const SystemSim& sim,
       result.cpu_time_s[c][level] = metrics.cpu_time_s(c, level);
     }
   }
+  if (checker_ != nullptr) {
+    result.validation =
+        std::make_shared<validate::ValidationReport>(checker_->report());
+  }
   return result;
+}
+
+ExperimentResult run_experiment(const PlatformSpec& platform,
+                                Governor& governor, const Workload& workload,
+                                const ExperimentConfig& config) {
+  ExperimentRun run(platform, governor, workload, config);
+  while (run.step()) {
+  }
+  return run.result();
 }
 
 }  // namespace topil

@@ -11,6 +11,10 @@
 
 namespace topil {
 
+namespace validate {
+class InvariantChecker;
+}
+
 /// Configuration of one evaluation run.
 struct ExperimentConfig {
   CoolingConfig cooling = CoolingConfig::fan();
@@ -24,9 +28,9 @@ struct ExperimentConfig {
   /// `sim.validate` is set.
   validate::ValidationConfig validation{};
   /// Optional externally owned monitor (e.g. validate::DigestMonitor for
-  /// cheap digest-only reruns). Attached for the duration of the run; must
-  /// outlive it. Mutually exclusive with `sim.validate`, which attaches
-  /// the run's own InvariantChecker (a SystemSim holds one monitor).
+  /// cheap digest-only reruns). Attached for the duration of the run, after
+  /// the run's own InvariantChecker when `sim.validate` is set; must
+  /// outlive the run.
   SimMonitor* monitor = nullptr;
 };
 
@@ -54,28 +58,59 @@ struct ExperimentResult {
   double qos_violation_fraction() const;
 };
 
-/// One head of the experiment loop, run before every simulator tick: stop
-/// at the duration limit, spawn every workload item whose arrival time has
-/// come (placed by the governor; advances `next_arrival`), stop once every
-/// item has arrived and finished, else run the governor's tick. Returns
-/// false when the run is over; otherwise the caller steps the simulator
-/// once. Every experiment driver — run_experiment, its checkpointed
-/// variant, the fleet lanes and the server's devices — calls this, which
-/// is what keeps their runs bit-identical.
-bool experiment_loop_head(SystemSim& sim, Governor& governor,
-                          const Workload& workload, double max_duration_s,
-                          std::size_t& next_arrival);
+/// One evaluation run in progress: the simulator, the governor driving it,
+/// the workload's arrival cursor and the run's monitors. Every experiment
+/// driver steps one — run_experiment, its checkpointed variant, the fleet
+/// lanes and the server's devices — which is what keeps their runs
+/// bit-identical. `platform`, `governor`, `workload` and `config.monitor`
+/// must outlive the run.
+class ExperimentRun {
+ public:
+  /// Build the simulator, attach an InvariantChecker when
+  /// `config.sim.validate` is set and then `config.monitor`, and reset the
+  /// governor on the fresh simulator.
+  ExperimentRun(const PlatformSpec& platform, Governor& governor,
+                const Workload& workload, const ExperimentConfig& config);
+  ~ExperimentRun();
+
+  ExperimentRun(const ExperimentRun&) = delete;
+  ExperimentRun& operator=(const ExperimentRun&) = delete;
+
+  /// Head of one loop iteration, run before every simulator tick: stop at
+  /// the duration limit, spawn every workload item whose arrival time has
+  /// come (placed by the governor), stop once every item has arrived and
+  /// finished, else run the governor's tick. Returns false when the run is
+  /// over; otherwise the caller steps the simulator once.
+  bool pre_tick();
+  /// `pre_tick()`, then one simulator step and the observer. Returns false
+  /// (without stepping) when the run is over.
+  bool step();
+  /// The result block of the run so far, with the checker's report when
+  /// the run validates.
+  ExperimentResult result() const;
+
+  SystemSim& sim() { return sim_; }
+  const SystemSim& sim() const { return sim_; }
+  /// The run's invariant checker; null unless `config.sim.validate`.
+  validate::InvariantChecker* checker() { return checker_.get(); }
+
+  /// Index of the next workload item to arrive (checkpoint state).
+  std::size_t next_arrival() const { return next_arrival_; }
+  void set_next_arrival(std::size_t next_arrival);
+
+ private:
+  Governor& governor_;
+  const Workload& workload_;
+  double max_duration_s_;
+  std::function<void(const SystemSim&)> observer_;
+  SystemSim sim_;
+  std::unique_ptr<validate::InvariantChecker> checker_;
+  std::size_t next_arrival_ = 0;
+};
 
 /// Run `workload` under `governor` on a freshly constructed simulator.
 ExperimentResult run_experiment(const PlatformSpec& platform,
                                 Governor& governor, const Workload& workload,
                                 const ExperimentConfig& config);
-
-/// Assemble the standard result block from a finished simulation. Shared
-/// by run_experiment and the fleet batch runner (fleet::run_experiments);
-/// fills everything except `validation`, which the caller owns.
-ExperimentResult assemble_experiment_result(const SystemSim& sim,
-                                            const Governor& governor,
-                                            std::size_t apps_total);
 
 }  // namespace topil

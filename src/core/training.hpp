@@ -32,8 +32,6 @@ class PolicyCache {
   /// Pre-trained TOP-RL Q-table for the given seed.
   rl::QTable rl_qtable(std::size_t seed);
 
-  const std::string& cache_dir() const { return dir_; }
-
  private:
   PolicyCache();
   std::string dir_;

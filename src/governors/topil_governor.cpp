@@ -52,7 +52,7 @@ void TopIlGovernor::start_migration_epoch(SystemSim& sim) {
 
   // The NPU path requires the platform to actually have one; otherwise
   // fall back to (slower, linear-cost) CPU inference transparently.
-  if (config_.use_npu && sim.platform().npu().present) {
+  if (sim.platform().npu().present) {
     const auto job = npu_.submit(compiled_, batch, sim.now());
     sim.npu_busy_for(npu_.latency_s(compiled_, batch.rows()));
     pending_ = PendingJob{job, pids};

@@ -24,9 +24,6 @@ class TopIlGovernor : public Governor {
     /// Minimum predicted rating improvement to act (hysteresis against
     /// migration thrash on near-equal mappings).
     double min_improvement = 0.02;
-    /// Offload batched inference to the NPU. Ignored (CPU fallback) when
-    /// the platform has no NPU.
-    bool use_npu = true;
     /// CPU cost charged per migration-policy invocation: feature
     /// collection, DDK submission, applying the decision.
     double invocation_cost_s = 4.0e-3;

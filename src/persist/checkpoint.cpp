@@ -75,32 +75,25 @@ std::string read_checkpoint_file(const std::string& path) {
 
 namespace {
 
-/// Everything the run loop needs to continue from a checkpoint that is not
-/// already inside SystemSim or the governor.
-struct LoopState {
-  std::size_t next_arrival = 0;
-  std::uint64_t digest_state = 0;
-  std::uint64_t digest_ticks = 0;
-};
-
 std::string encode_checkpoint(const CheckpointOptions& options,
-                              const Governor& governor, const SystemSim& sim,
-                              const LoopState& loop) {
+                              const Governor& governor,
+                              const ExperimentRun& run,
+                              const validate::DigestMonitor& monitor) {
   StateWriter out;
   out.tag("CKPT");
   out.str(options.meta);
   out.str(governor.name());
-  out.u64(loop.next_arrival);
-  out.u64(loop.digest_state);
-  out.u64(loop.digest_ticks);
-  SnapshotAccess::save(out, sim);
+  out.u64(run.next_arrival());
+  out.u64(monitor.digest());
+  out.u64(monitor.ticks());
+  SnapshotAccess::save(out, run.sim());
   governor.save_state(out);
   return out.take_buffer();
 }
 
-LoopState decode_checkpoint(const std::string& payload,
-                            const CheckpointOptions& options,
-                            Governor& governor, SystemSim& sim) {
+void decode_checkpoint(const std::string& payload,
+                       const CheckpointOptions& options, Governor& governor,
+                       ExperimentRun& run, validate::DigestMonitor& monitor) {
   StateReader in(payload);
   in.expect_tag("CKPT");
   const std::string meta = in.str();
@@ -112,14 +105,13 @@ LoopState decode_checkpoint(const std::string& payload,
   TOPIL_REQUIRE(governor_name == governor.name(),
                 "checkpoint was taken under governor '" + governor_name +
                     "', not '" + governor.name() + "'");
-  LoopState loop;
-  loop.next_arrival = in.size();
-  loop.digest_state = in.u64();
-  loop.digest_ticks = in.u64();
-  SnapshotAccess::restore(in, sim);
+  run.set_next_arrival(in.size());
+  const std::uint64_t digest_state = in.u64();
+  const std::uint64_t digest_ticks = in.u64();
+  SnapshotAccess::restore(in, run.sim());
   governor.restore_state(in);
   in.require_done();
-  return loop;
+  monitor.resume_from(digest_state, digest_ticks);
 }
 
 }  // namespace
@@ -128,24 +120,24 @@ CheckpointedResult run_experiment_checkpointed(
     const PlatformSpec& platform, Governor& governor,
     const Workload& workload, const ExperimentConfig& config,
     const CheckpointOptions& options) {
-  TOPIL_REQUIRE(!workload.empty(), "empty workload");
   TOPIL_REQUIRE(!options.path.empty(), "checkpoint path must be set");
   TOPIL_REQUIRE(options.every_s > 0.0,
                 "checkpoint interval must be positive");
+  // An invariant checker's state is not checkpointed, so a resumed run
+  // could not continue it.
   TOPIL_REQUIRE(!config.sim.validate && config.monitor == nullptr,
                 "checkpointed runs carry their own digest monitor");
 
-  SystemSim sim(platform, config.cooling, config.sim);
   validate::DigestMonitor monitor;
-  sim.attach_monitor(&monitor);
-  governor.reset(sim);
+  ExperimentConfig run_config = config;
+  run_config.monitor = &monitor;
+  ExperimentRun run(platform, governor, workload, run_config);
+  const SystemSim& sim = run.sim();
 
   CheckpointedResult out;
-  LoopState loop;
   if (options.resume && std::filesystem::exists(options.path)) {
-    const std::string payload = read_checkpoint_file(options.path);
-    loop = decode_checkpoint(payload, options, governor, sim);
-    monitor.resume_from(loop.digest_state, loop.digest_ticks);
+    decode_checkpoint(read_checkpoint_file(options.path), options, governor,
+                      run, monitor);
     out.resumed = true;
   }
 
@@ -160,25 +152,16 @@ CheckpointedResult run_experiment_checkpointed(
       do {
         next_checkpoint += options.every_s;
       } while (sim.now() + 1e-9 >= next_checkpoint);
-      loop.digest_state = monitor.digest();
-      loop.digest_ticks = monitor.ticks();
       write_checkpoint_file(options.path,
-                            encode_checkpoint(options, governor, sim, loop));
+                            encode_checkpoint(options, governor, run, monitor));
       ++out.checkpoints_written;
     }
-
-    if (!experiment_loop_head(sim, governor, workload, config.max_duration_s,
-                              loop.next_arrival)) {
-      break;
-    }
-    sim.step();
-    if (config.observer) config.observer(sim);
+    if (!run.step()) break;
   }
 
-  out.result = assemble_experiment_result(sim, governor, workload.size());
+  out.result = run.result();
   out.digest = monitor.digest();
   out.ticks = monitor.ticks();
-  sim.attach_monitor(nullptr);
   return out;
 }
 

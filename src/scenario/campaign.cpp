@@ -274,10 +274,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     }
     digest.u64(out.index);
     digest.u64(out.digest);
-    if (config.on_scenario) {
-      config.on_scenario(out.index, out.status == ScenarioStatus::Failed,
-                         out.findings.size());
-    }
 
     if (out.status == ScenarioStatus::Failed && !out.restored) {
       if (config.shrink && !budget_spent() && !only_fleet_findings(out)) {

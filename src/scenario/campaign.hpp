@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -34,10 +33,6 @@ struct CampaignConfig {
   /// When non-empty, minimized reproducers are serialized here as
   /// fail-<seed>-<index>.scenario.
   std::string corpus_dir;
-  /// Progress callback, invoked from the coordinating thread in index
-  /// order after the parallel phase (may be empty).
-  std::function<void(std::uint64_t index, bool failed, std::size_t findings)>
-      on_scenario;
   /// Durable campaign journal (persist/wal.hpp): one CRC-framed record per
   /// completed scenario, fsync'd as it lands. Empty = no journal.
   std::string journal_path;

@@ -118,30 +118,30 @@ DeviceRunSummary run_reference_device(const scenario::ScenarioSpec& spec,
                                       std::uint64_t policy_seed,
                                       std::size_t epoch_ticks) {
   TOPIL_REQUIRE(epoch_ticks > 0, "epoch_ticks must be positive");
-  scenario::MaterializedScenario m = scenario::materialize(spec);
-  m.sim.integrator = ThermalIntegrator::Exponential;
-  SystemSim sim(m.platform, m.cooling, m.sim);
+  const scenario::MaterializedScenario m = scenario::materialize(spec);
   validate::DigestMonitor monitor;
-  sim.attach_monitor(&monitor);
+  ExperimentConfig config;
+  config.cooling = m.cooling;
+  config.sim = m.sim;
+  config.sim.integrator = ThermalIntegrator::Exponential;
+  config.max_duration_s = m.max_duration_s;
+  config.monitor = &monitor;
   // No aggregator: the solo device computes each inference batch on its
   // own (deferred vs. immediate inference is bit-identical — the
   // InferenceAggregator contract this function exists to verify).
   std::unique_ptr<Governor> governor =
       make_device_governor(spec, m.platform, policy_seed, nullptr);
-  governor->reset(sim);
+  ExperimentRun run(m.platform, *governor, m.workload, config);
 
   DeviceRunSummary out;
   validate::Fnv64 action_digest;
-  std::size_t next_arrival = 0;
-  while (experiment_loop_head(sim, *governor, m.workload, m.max_duration_s,
-                              next_arrival)) {
-    sim.step();
+  while (run.step()) {
+    const SystemSim& sim = run.sim();
     if (sim.tick_index() % epoch_ticks == 0) {
       fold_action(action_digest, sample_action(sim, device_id, out.actions));
       ++out.actions;
     }
   }
-  sim.attach_monitor(nullptr);
   out.digest = monitor.digest();
   out.ticks = monitor.ticks();
   out.action_digest = action_digest.value();

@@ -68,53 +68,23 @@ std::string wal_deregister_payload(std::uint64_t id) {
 }  // namespace
 
 /// One simulated board: its materialized scenario (owning the platform and
-/// adapted apps the simulator points into), simulator, governor, digest
-/// chains, and the connection its actions stream back over (null for a
-/// device resumed headless from a checkpoint).
+/// adapted apps the simulator points into), governor, digest chains, the
+/// run that drives them, and the connection its actions stream back over
+/// (null for a device resumed headless from a checkpoint).
 struct Shard::Device {
   std::uint64_t id = 0;
   std::string scenario_text;
   scenario::ScenarioSpec spec;
   std::unique_ptr<scenario::MaterializedScenario> mat;
-  std::unique_ptr<SystemSim> sim;
   std::unique_ptr<Governor> governor;
-  std::unique_ptr<validate::InvariantChecker> checker;  ///< validate mode
   validate::DigestMonitor monitor;
-  std::size_t next_arrival = 0;
+  /// Simulator, arrival cursor and monitors: the digest chain always, the
+  /// invariant checker in validate mode.
+  std::unique_ptr<ExperimentRun> run;
   std::size_t lane = fleet::FleetEngine::kRemovedLane;
   std::uint64_t action_seq = 0;
   validate::Fnv64 action_digest;
   std::shared_ptr<Connection> conn;
-
-  /// Per-device composite monitor: the digest chain always runs; the
-  /// invariant checker only in validate mode. A SystemSim has one monitor
-  /// slot, so the fan-out lives here.
-  struct Fanout : SimMonitor {
-    Device* device = nullptr;
-    void on_attach(const SystemSim& sim) override {
-      if (device->checker) device->checker->on_attach(sim);
-      device->monitor.on_attach(sim);
-    }
-    void on_tick(const SystemSim& sim) override {
-      if (device->checker) device->checker->on_tick(sim);
-      device->monitor.on_tick(sim);
-    }
-    void on_migration_epoch(const SystemSim& sim, double scheduled_time_s,
-                            double period_s) override {
-      if (device->checker) {
-        device->checker->on_migration_epoch(sim, scheduled_time_s, period_s);
-      }
-      device->monitor.on_migration_epoch(sim, scheduled_time_s, period_s);
-    }
-  };
-  Fanout fanout;
-
-  /// The run_experiment loop head (fleet determinism contract: a lane is
-  /// bit-identical to the same sim stepped alone).
-  bool pre_tick() {
-    return experiment_loop_head(*sim, *governor, mat->workload,
-                                mat->max_duration_s, next_arrival);
-  }
 };
 
 Shard::Shard(const Config& config) : config_(config) {
@@ -155,30 +125,29 @@ std::unique_ptr<Shard::Device> Shard::build_device(
   device->spec = scenario::ScenarioSpec::parse(scenario_text);
   device->mat = std::make_unique<scenario::MaterializedScenario>(
       scenario::materialize(device->spec));
-  // The fleet engine batches only exponential lanes' thermal advance;
-  // validation runs through our own composite monitor, never
-  // SimConfig::validate.
-  device->mat->sim.integrator = ThermalIntegrator::Exponential;
-  device->mat->sim.validate = false;
-  device->sim = std::make_unique<SystemSim>(
-      device->mat->platform, device->mat->cooling, device->mat->sim);
-  if (config_.validate) {
-    validate::ValidationConfig vc;
-    vc.fail_fast = false;  // soak: record violations, keep serving
-    device->checker = std::make_unique<validate::InvariantChecker>(vc);
-  }
-  device->fanout.device = device.get();
-  device->sim->attach_monitor(&device->fanout);
+  ExperimentConfig run_config;
+  run_config.cooling = device->mat->cooling;
+  run_config.sim = device->mat->sim;
+  // The fleet engine batches only exponential lanes' thermal advance.
+  run_config.sim.integrator = ThermalIntegrator::Exponential;
+  run_config.sim.validate = config_.validate;
+  run_config.max_duration_s = device->mat->max_duration_s;
+  run_config.validation.fail_fast = false;  // soak: record, keep serving
+  run_config.monitor = &device->monitor;
   device->governor = make_device_governor(device->spec, device->mat->platform,
                                           config_.policy_seed, &aggregator_);
-  device->governor->reset(*device->sim);
+  device->run = std::make_unique<ExperimentRun>(
+      device->mat->platform, *device->governor, device->mat->workload,
+      run_config);
   return device;
 }
 
 void Shard::attach_device(Device& device) {
   fleet::FleetEngine::Lane lane;
-  lane.sim = device.sim.get();
-  lane.pre_tick = [dev = &device](SystemSim&) { return dev->pre_tick(); };
+  lane.sim = &device.run->sim();
+  lane.pre_tick = [run = device.run.get()](SystemSim&) {
+    return run->pre_tick();
+  };
   lane.post_tick = [this, dev = &device](SystemSim& sim) {
     if (sim.tick_index() % config_.epoch_ticks != 0) return;
     ActionMsg m = sample_action(sim, dev->id, dev->action_seq);
@@ -231,8 +200,8 @@ void Shard::handle_register(PendingRegister&& req) {
 }
 
 void Shard::accumulate_violations(Device& device) {
-  if (device.checker) {
-    violations_.fetch_add(device.checker->report().violations.size(),
+  if (const validate::InvariantChecker* checker = device.run->checker()) {
+    violations_.fetch_add(checker->report().violations.size(),
                           std::memory_order_relaxed);
   }
 }
@@ -349,12 +318,12 @@ std::string Shard::encode_shard_checkpoint() {
     out.tag("SDEV");
     out.u64(id);
     out.str(device->scenario_text);
-    out.u64(device->next_arrival);
+    out.u64(device->run->next_arrival());
     out.u64(device->action_seq);
     out.u64(device->action_digest.value());
     out.u64(device->monitor.digest());
     out.u64(device->monitor.ticks());
-    persist::SnapshotAccess::save(out, *device->sim);
+    persist::SnapshotAccess::save(out, device->run->sim());
     device->governor->save_state(out);
   }
   return out.take_buffer();
@@ -442,19 +411,20 @@ void Shard::restore_from_disk() {
                     "shard checkpoint device " + std::to_string(id) +
                         " was never registered in the WAL: " + ckpt);
       std::unique_ptr<Device> device = build_device(id, text);
-      device->next_arrival = static_cast<std::size_t>(in.u64());
+      device->run->set_next_arrival(static_cast<std::size_t>(in.u64()));
       device->action_seq = in.u64();
       device->action_digest = validate::Fnv64::resume(in.u64());
       const std::uint64_t digest_state = in.u64();
       const std::uint64_t digest_ticks = in.u64();
-      persist::SnapshotAccess::restore(in, *device->sim);
-      // Re-prime the monitors: the checker's energy-balance baseline was
-      // captured at attach time against the freshly-built (ambient) sim,
-      // and the restore above just jumped the thermal state mid-run. Left
-      // stale, the first tick would book the whole jump as a phantom
-      // stored-energy change and poison the cumulative balance for the
-      // rest of the run.
-      device->fanout.on_attach(*device->sim);
+      persist::SnapshotAccess::restore(in, device->run->sim());
+      // Re-prime the checker: its energy-balance baseline was captured at
+      // attach time against the freshly-built (ambient) sim, and the
+      // restore above just jumped the thermal state mid-run. Left stale,
+      // the first tick would book the whole jump as a phantom stored-energy
+      // change and poison the cumulative balance for the rest of the run.
+      if (validate::InvariantChecker* checker = device->run->checker()) {
+        checker->on_attach(device->run->sim());
+      }
       device->governor->restore_state(in);
       device->monitor.resume_from(digest_state, digest_ticks);
       // Continue only the registration the checkpoint captured. A device

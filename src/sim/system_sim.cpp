@@ -141,15 +141,16 @@ void SystemSim::npu_busy_for(double duration_s) {
 }
 
 void SystemSim::attach_monitor(SimMonitor* monitor) {
-  monitor_ = monitor;
-  if (monitor_ != nullptr) monitor_->on_attach(*this);
+  TOPIL_REQUIRE(monitor != nullptr, "null monitor");
+  monitors_.push_back(monitor);
+  monitor->on_attach(*this);
 }
 
 void SystemSim::note_migration_epoch(double scheduled_time_s,
                                      double period_s) {
   TOPIL_REQUIRE(period_s > 0.0, "epoch period must be positive");
-  if (monitor_ != nullptr) {
-    monitor_->on_migration_epoch(*this, scheduled_time_s, period_s);
+  for (SimMonitor* monitor : monitors_) {
+    monitor->on_migration_epoch(*this, scheduled_time_s, period_s);
   }
 }
 
@@ -272,7 +273,7 @@ void SystemSim::tick_finish() {
   metrics_.on_tick(now_, dt, max_core_temp, levels_, busy_per_cluster_);
   if (any_finished) retire_finished();
   ++tick_index_;
-  if (monitor_ != nullptr) monitor_->on_tick(*this);
+  for (SimMonitor* monitor : monitors_) monitor->on_tick(*this);
 }
 
 void SystemSim::step() {

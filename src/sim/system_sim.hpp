@@ -125,8 +125,8 @@ class SystemSim {
   bool npu_active() const { return now_ < npu_busy_until_; }
 
   /// Periodic governors report every scheduled decision deadline here so
-  /// an attached monitor can verify the epoch cadence (deadlines exactly
-  /// `period_s` apart, honored within one tick). No-op without a monitor.
+  /// attached monitors can verify the epoch cadence (deadlines exactly
+  /// `period_s` apart, honored within one tick). No-op without monitors.
   void note_migration_epoch(double scheduled_time_s, double period_s);
 
   // --- stepping ---
@@ -148,7 +148,7 @@ class SystemSim {
   /// `tick_finish`.
   void tick_begin();
   /// Phases 4-5: clock advance, DTM/sensor observation, QoS accounting,
-  /// metrics, retirement, and the monitor callback.
+  /// metrics, retirement, and the monitor callbacks.
   void tick_finish();
 
   // --- evaluation-only access (not visible to governors) ---
@@ -166,10 +166,10 @@ class SystemSim {
   /// Number of completed steps since construction.
   std::uint64_t tick_index() const { return tick_index_; }
 
-  /// Attach a correctness monitor (nullptr detaches). The monitor is
-  /// invoked at the end of every step and must outlive the simulation.
+  /// Attach a correctness monitor. Monitors run in attach order at the
+  /// end of every step and at every migration epoch; each must outlive the
+  /// simulation.
   void attach_monitor(SimMonitor* monitor);
-  SimMonitor* monitor() const { return monitor_; }
 
  private:
   // Checkpoint/restore (src/persist/snapshot.cpp) serializes this state.
@@ -196,7 +196,7 @@ class SystemSim {
   double npu_busy_until_ = 0.0;
   PowerBreakdown last_power_;
   std::uint64_t tick_index_ = 0;
-  SimMonitor* monitor_ = nullptr;
+  std::vector<SimMonitor*> monitors_;
 
   // Working buffers of one tick, kept as members only so steady-state
   // ticks allocate nothing. None of them carries state from one tick to

@@ -36,36 +36,6 @@ void RCNetwork::add_conductance(std::size_t a, std::size_t b,
   stable_dt_dirty_ = true;
 }
 
-void RCNetwork::scale_conductance(std::size_t a, std::size_t b,
-                                  double factor) {
-  const std::size_t n = cap_.size();
-  TOPIL_REQUIRE(a < n && b < n && a != b, "node index out of range");
-  TOPIL_REQUIRE(factor > 0.0, "scale factor must be positive");
-  const double old_g = g_[a * n + b];
-  TOPIL_REQUIRE(old_g > 0.0, "no conductance between nodes to scale");
-  const double new_g = old_g * factor;
-  g_[a * n + b] = new_g;
-  g_[b * n + a] = new_g;
-  row_sum_[a] += new_g - old_g;
-  row_sum_[b] += new_g - old_g;
-  stable_dt_dirty_ = true;
-}
-
-void RCNetwork::set_ambient_conductance(std::size_t node, double g_w_per_k) {
-  TOPIL_REQUIRE(node < g_amb_.size(), "node index out of range");
-  TOPIL_REQUIRE(g_w_per_k >= 0.0, "ambient conductance must be non-negative");
-  row_sum_[node] += g_w_per_k - g_amb_[node];
-  g_amb_[node] = g_w_per_k;
-  stable_dt_dirty_ = true;
-}
-
-void RCNetwork::set_capacitance(std::size_t node, double capacitance_j_per_k) {
-  TOPIL_REQUIRE(node < cap_.size(), "node index out of range");
-  TOPIL_REQUIRE(capacitance_j_per_k > 0.0, "capacitance must be positive");
-  cap_[node] = capacitance_j_per_k;
-  stable_dt_dirty_ = true;
-}
-
 double RCNetwork::conductance(std::size_t a, std::size_t b) const {
   const std::size_t n = cap_.size();
   TOPIL_REQUIRE(a < n && b < n && a != b, "node index out of range");

@@ -24,22 +24,6 @@ class RCNetwork {
   /// Add a symmetric conductance between nodes a and b.
   void add_conductance(std::size_t a, std::size_t b, double g_w_per_k);
 
-  // --- perturbation paths (scenario fuzzing, sensitivity studies) ---
-  //
-  // Every mutator keeps the Laplacian row sums consistent and re-invalidates
-  // the cached max_stable_dt: a perturbed network that silently kept the old
-  // stability bound could sub-step explicit integration past the stable
-  // region (or waste substeps), so the cache must be recomputed on the next
-  // step. The structural hash changes too, which keys perturbed networks
-  // away from cached ThermalPropagators.
-
-  /// Multiply the existing conductance between a and b by `factor` (> 0).
-  void scale_conductance(std::size_t a, std::size_t b, double factor);
-  /// Replace the conductance from `node` to ambient (>= 0).
-  void set_ambient_conductance(std::size_t node, double g_w_per_k);
-  /// Replace the heat capacity of `node` (> 0).
-  void set_capacitance(std::size_t node, double capacitance_j_per_k);
-
   std::size_t num_nodes() const { return cap_.size(); }
   double conductance(std::size_t a, std::size_t b) const;
   double ambient_conductance(std::size_t node) const;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "governors/powersave.hpp"
+#include "validate/digest_monitor.hpp"
 #include "workloads/generator.hpp"
 
 namespace topil {
@@ -92,6 +93,39 @@ TEST_F(ExperimentTest, ObserverSeesEveryTick) {
   const ExperimentResult result =
       run_experiment(platform_, *governor, w, run);
   EXPECT_NEAR(static_cast<double>(ticks) * 0.01, result.duration_s, 0.05);
+}
+
+// Observers never change a run: the invariant checker and an external
+// monitor attached together hash the same ticks, and the monitor's digest
+// equals that of the same run carrying the monitor alone.
+TEST_F(ExperimentTest, CheckerAndMonitorCompose) {
+  WorkloadGenerator::MixedConfig mixed;
+  mixed.num_apps = 3;
+  mixed.arrival_rate_per_s = 0.5;
+  mixed.seed = 4;
+  const Workload w =
+      generator_.mixed(mixed, AppDatabase::instance().mixed_pool());
+  ExperimentConfig run = quick();
+  run.max_duration_s = 20.0;
+
+  validate::DigestMonitor alone;
+  run.monitor = &alone;
+  auto solo_governor = make_gts_ondemand();
+  run_experiment(platform_, *solo_governor, w, run);
+
+  validate::DigestMonitor composed;
+  run.monitor = &composed;
+  run.sim.validate = true;
+  auto governor = make_gts_ondemand();
+  const ExperimentResult result = run_experiment(platform_, *governor, w, run);
+
+  ASSERT_NE(result.validation, nullptr);
+  EXPECT_TRUE(result.validation->clean());
+  EXPECT_GT(composed.ticks(), 1000u);
+  EXPECT_EQ(composed.digest(), result.validation->trace_digest);
+  EXPECT_EQ(composed.ticks(), result.validation->ticks_checked);
+  EXPECT_EQ(composed.digest(), alone.digest());
+  EXPECT_EQ(composed.ticks(), alone.ticks());
 }
 
 TEST_F(ExperimentTest, RejectsEmptyWorkload) {

@@ -66,7 +66,7 @@ RunOutcome scalar_run(const scenario::ScenarioSpec& spec) {
 
 std::vector<RunOutcome> fleet_run(
     const std::vector<scenario::ScenarioSpec>& specs, std::size_t batch,
-    std::size_t jobs = 1) {
+    std::size_t jobs = 1, bool validate = false) {
   std::vector<scenario::MaterializedScenario> ms;
   ms.reserve(specs.size());
   for (const auto& spec : specs) ms.push_back(scenario::materialize(spec));
@@ -79,6 +79,7 @@ std::vector<RunOutcome> fleet_run(
     job.workload = &ms[i].workload;
     job.config = scenario_run_config(ms[i]);
     job.config.monitor = &monitors[i];
+    job.config.sim.validate = validate;
     job.make_governor = [&specs, &ms, i](npu::InferenceAggregator*) {
       return scenario::make_scenario_governor(specs[i].governor,
                                               ms[i].platform,
@@ -151,6 +152,26 @@ TEST(FleetCorpus, WorkerCountDoesNotChangeResults) {
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(serial[i].digest, threaded[i].digest) << i;
     EXPECT_EQ(serial[i].ticks, threaded[i].ticks) << i;
+  }
+}
+
+// Observers never change a run: every lane carries the invariant checker
+// and a DigestMonitor together; the monitor's digest equals the lane's
+// checker digest and the digest of the scalar run with the monitor alone.
+TEST(FleetCorpus, CheckerAndMonitorComposeOnEveryLane) {
+  std::vector<scenario::ScenarioSpec> specs;
+  for (const std::string& path : corpus_files()) {
+    specs.push_back(scenario::ScenarioSpec::load(path));
+  }
+  const std::vector<RunOutcome> fleet = fleet_run(specs, 4, 1, true);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const RunOutcome scalar = scalar_run(specs[i]);
+    ASSERT_NE(fleet[i].result.validation, nullptr) << i;
+    EXPECT_GT(fleet[i].ticks, 0u) << i;
+    EXPECT_EQ(fleet[i].digest, fleet[i].result.validation->trace_digest) << i;
+    EXPECT_EQ(fleet[i].ticks, fleet[i].result.validation->ticks_checked) << i;
+    EXPECT_EQ(fleet[i].digest, scalar.digest) << i;
+    EXPECT_EQ(fleet[i].ticks, scalar.ticks) << i;
   }
 }
 

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "server/device_scenario.hpp"
 #include "sim/fleet/fleet_engine.hpp"
@@ -21,15 +22,14 @@ namespace {
 constexpr std::uint64_t kSeed = 77;
 constexpr std::uint64_t kPolicySeed = 3;
 
-/// A self-contained lane: one synthetic device scenario with its sim,
-/// governor, digest monitor, and scalar-loop-head pre_tick.
+/// A self-contained lane: one synthetic device scenario with its governor,
+/// digest monitor, and the ExperimentRun whose loop head is the pre_tick.
 struct TestDevice {
   scenario::ScenarioSpec spec;
   std::unique_ptr<scenario::MaterializedScenario> mat;
-  std::unique_ptr<SystemSim> sim;
   std::unique_ptr<Governor> governor;
   validate::DigestMonitor monitor;
-  std::size_t next_arrival = 0;
+  std::unique_ptr<ExperimentRun> run;
   std::size_t lane = fleet::FleetEngine::kRemovedLane;
 
   explicit TestDevice(std::uint64_t id, double duration_s = 1.0) {
@@ -40,34 +40,22 @@ struct TestDevice {
     spec = server::make_device_scenario(kSeed, id, opts);
     mat = std::make_unique<scenario::MaterializedScenario>(
         scenario::materialize(spec));
-    mat->sim.integrator = ThermalIntegrator::Exponential;
-    sim = std::make_unique<SystemSim>(mat->platform, mat->cooling, mat->sim);
-    sim->attach_monitor(&monitor);
+    ExperimentConfig config;
+    config.cooling = mat->cooling;
+    config.sim = mat->sim;
+    config.sim.integrator = ThermalIntegrator::Exponential;
+    config.max_duration_s = mat->max_duration_s;
+    config.monitor = &monitor;
     governor = server::make_device_governor(spec, mat->platform, kPolicySeed,
                                             nullptr);
-    governor->reset(*sim);
-  }
-
-  bool pre_tick() {
-    if (sim->now() >= mat->max_duration_s) return false;
-    const auto& items = mat->workload.items();
-    while (next_arrival < items.size() &&
-           items[next_arrival].arrival_time <= sim->now() + 1e-9) {
-      const WorkloadItem& item = items[next_arrival];
-      const AppSpec& app = Workload::app_of(item);
-      sim->spawn(app, item.qos_target_ips,
-                 governor->place(*sim, app, item.qos_target_ips));
-      ++next_arrival;
-    }
-    if (next_arrival == items.size() && sim->num_running() == 0) return false;
-    governor->tick(*sim);
-    return true;
+    run = std::make_unique<ExperimentRun>(mat->platform, *governor,
+                                          mat->workload, config);
   }
 
   fleet::FleetEngine::Lane as_lane() {
     fleet::FleetEngine::Lane lane;
-    lane.sim = sim.get();
-    lane.pre_tick = [this](SystemSim&) { return pre_tick(); };
+    lane.sim = &run->sim();
+    lane.pre_tick = [this](SystemSim&) { return run->pre_tick(); };
     return lane;
   }
 };
@@ -148,8 +136,8 @@ TEST(FleetDynamic, CompactRemapsSurvivorsAndReclaimsTombstones) {
   EXPECT_EQ(engine.num_lanes(), 2u);
   // The detached devices' sims can now be destroyed while the engine
   // lives on — compaction must have dropped every pointer to them.
-  devices[0].sim.reset();
-  devices[2].sim.reset();
+  devices[0].run.reset();
+  devices[2].run.reset();
 
   ASSERT_TRUE(engine.lane_active(devices[1].lane));
   ASSERT_TRUE(engine.lane_active(devices[3].lane));

@@ -127,18 +127,19 @@ TEST_F(TopIlGovernorTest, NpuPathMarksDeviceBusyAndDefersDecision) {
 }
 
 TEST_F(TopIlGovernorTest, CpuFallbackAlsoWorksAndCostsMore) {
+  // The CPU side runs the same 4+4 cores without an NPU block.
+  std::vector<ClusterSpec> clusters;
+  for (const auto& c : platform_.clusters()) clusters.push_back(c);
+  const PlatformSpec npuless(std::move(clusters), NpuSpec{});
+
   SimConfig config = quiet();
   SystemSim npu_sim(platform_, CoolingConfig::fan(), config);
-  SystemSim cpu_sim(platform_, CoolingConfig::fan(), config);
+  SystemSim cpu_sim(npuless, CoolingConfig::fan(), config);
 
-  TopIlGovernor::Config npu_cfg;
-  npu_cfg.use_npu = true;
-  TopIlGovernor::Config cpu_cfg;
-  cpu_cfg.use_npu = false;
   TopIlGovernor npu_gov(
-      constant_policy(platform_, {0, 0, 0, 0, 0, 0, 0, 1}), npu_cfg);
+      constant_policy(platform_, {0, 0, 0, 0, 0, 0, 0, 1}));
   TopIlGovernor cpu_gov(
-      constant_policy(platform_, {0, 0, 0, 0, 0, 0, 0, 1}), cpu_cfg);
+      constant_policy(npuless, {0, 0, 0, 0, 0, 0, 0, 1}));
   npu_gov.reset(npu_sim);
   cpu_gov.reset(cpu_sim);
   const Pid a = npu_sim.spawn(app_, 1e8, 0);
@@ -217,7 +218,6 @@ TEST_F(TopIlGovernorTest, EpochsStayOnGridForNonTickMultiplePeriods) {
   EXPECT_EQ(governor.epochs_started(), 20u);
   EXPECT_EQ(checker.report().epochs_checked, 20u);
   EXPECT_TRUE(checker.report().clean());
-  sim.attach_monitor(nullptr);
 }
 
 TEST_F(TopIlGovernorTest, SlowNpuDefersEpochInsteadOfSkippingIt) {
@@ -244,7 +244,6 @@ TEST_F(TopIlGovernorTest, SlowNpuDefersEpochInsteadOfSkippingIt) {
   // All 10 deadlines are still reported on the exact 0.5 s grid.
   EXPECT_EQ(checker.report().epochs_checked, 10u);
   EXPECT_TRUE(checker.report().clean());
-  sim.attach_monitor(nullptr);
 }
 
 TEST_F(TopIlGovernorTest, NameAndValidation) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "apps/app_database.hpp"
 #include "platform/topology.hpp"
@@ -269,6 +271,32 @@ TEST(SystemSimSpawn, RejectsAppWithoutPerfRowPerCluster) {
   EXPECT_THROW(sim.spawn(app, 1e8, soc.core_id(2, 0)), InvalidArgument);
   EXPECT_THROW(sim.spawn(app, 1e8, soc.core_id(0, 0)), InvalidArgument);
   EXPECT_EQ(sim.num_running(), 0u);
+}
+
+// Every attached monitor sees every callback, in attach order.
+TEST_F(SystemSimTest, MonitorsRunInAttachOrder) {
+  struct Recorder : SimMonitor {
+    Recorder(std::string n, std::vector<std::string>* l)
+        : name(std::move(n)), log(l) {}
+    void on_attach(const SystemSim&) override { log->push_back(name + "a"); }
+    void on_tick(const SystemSim&) override { log->push_back(name + "t"); }
+    void on_migration_epoch(const SystemSim&, double, double) override {
+      log->push_back(name + "e");
+    }
+    std::string name;
+    std::vector<std::string>* log;
+  };
+  std::vector<std::string> log;
+  Recorder first("1", &log);
+  Recorder second("2", &log);
+  SystemSim sim(platform_, CoolingConfig::fan(), quiet_config());
+  sim.attach_monitor(&first);
+  sim.attach_monitor(&second);
+  sim.step();
+  sim.note_migration_epoch(0.5, 0.5);
+  sim.step();
+  EXPECT_EQ(log, (std::vector<std::string>{"1a", "2a", "1t", "2t", "1e", "2e",
+                                           "1t", "2t"}));
 }
 
 }  // namespace

@@ -111,11 +111,13 @@ if [[ "${VALIDATE:-1}" != "0" ]]; then
   echo "== validation gate (runtime invariant checker)"
   run="${build_dir}/tools/topil_run"
   # Two small golden scenarios under the invariant checker, one per
-  # integrator. Any violated invariant makes topil_run exit non-zero.
+  # integrator: Heun (topil_run's default) and the exponential one every
+  # production caller runs. Any violated invariant makes topil_run exit
+  # non-zero.
   "${run}" --governor gts-ondemand --workload mixed --apps 4 --rate 0.05 \
     --seed 5 --duration 120 --validate
   "${run}" --governor gts-powersave --workload mixed --apps 4 --rate 0.05 \
-    --seed 5 --duration 120 --validate
+    --seed 5 --duration 120 --validate --integrator exp
 
   echo "== determinism gate (serial vs parallel training digests)"
   # topil-quick trains a small policy through the full design-time
