@@ -131,7 +131,11 @@ BENCHMARK(BM_ThermalSlabStep)
     ->Args({12, 1, 0})
     ->Args({12, 64, 0})
     ->Args({12, 16, 1})
-    ->Args({12, 64, 1});
+    ->Args({12, 64, 1})
+    ->Args({12, 43, 1})
+    ->Args({12, 8, 1})
+    ->Args({12, 1, 1})
+    ->Args({1, 43, 1});
 
 void BM_ThermalSteadyState(benchmark::State& state) {
   const PlatformSpec platform = PlatformSpec::hikey970();

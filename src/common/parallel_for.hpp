@@ -44,27 +44,29 @@ void parallel_for_indexed(std::size_t n, std::size_t jobs, Fn&& fn) {
   std::mutex error_mutex;
   std::size_t error_index = 0;
   std::exception_ptr error;
+  const auto drain = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!error || i < error_index) {
+          error = std::current_exception();
+          error_index = i;
+        }
+      }
+    }
+  };
 
+  // The calling thread is one of the workers, so `jobs` threads run in
+  // all: the pool adds jobs - 1 instead of leaving the caller asleep.
   const std::size_t workers = jobs < n ? jobs : n;
   {
-    ThreadPool pool(workers, workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.submit([&] {
-        for (;;) {
-          const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= n) return;
-          try {
-            fn(i);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(error_mutex);
-            if (!error || i < error_index) {
-              error = std::current_exception();
-              error_index = i;
-            }
-          }
-        }
-      });
-    }
+    ThreadPool pool(workers - 1, workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) pool.submit(drain);
+    drain();
     pool.wait_idle();
   }
   if (error) std::rethrow_exception(error);

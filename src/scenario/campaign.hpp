@@ -17,7 +17,7 @@ struct CampaignConfig {
   std::size_t jobs = 0;
   /// When > 1, every executed scenario is additionally replayed through
   /// the fleet engine (fleet::run_experiments, exponential integrator,
-  /// `fleet_batch` lanes per lockstep batch) and its per-tick digest is
+  /// at most `fleet_batch` lanes per engine) and its per-tick digest is
   /// compared against the scalar exponential run. A mismatch fails the
   /// scenario with a "fleet-determinism" finding. 1 disables the stage.
   std::size_t fleet_batch = 1;
@@ -88,8 +88,8 @@ struct LaneDigest {
 };
 
 /// Run every spec as one lane of the lockstep fleet engine
-/// (fleet::run_experiments, exponential integrator, `batch` lanes per
-/// batch, `jobs` workers with 0 = hardware concurrency) and return each
+/// (fleet::run_experiments, exponential integrator, at most `batch` lanes
+/// per engine, `jobs` workers with 0 = hardware concurrency) and return each
 /// lane's digest in input order. Each must equal the scalar exponential
 /// run of its spec (DESIGN.md §10); the caller compares and reports.
 std::vector<LaneDigest> replay_through_fleet(

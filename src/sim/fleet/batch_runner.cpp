@@ -7,21 +7,32 @@
 
 namespace topil::fleet {
 
+std::vector<std::pair<std::size_t, std::size_t>> partition_jobs(
+    std::size_t n, std::size_t batch, std::size_t workers) {
+  TOPIL_REQUIRE(batch > 0, "fleet batch must be at least 1");
+  const std::size_t count =
+      std::max((n + batch - 1) / batch, std::min(n, workers));
+  std::vector<std::pair<std::size_t, std::size_t>> chunks;
+  chunks.reserve(count);
+  // The first n % count chunks take one job more than the rest.
+  std::size_t begin = 0;
+  for (std::size_t c = 0; c < count; ++c) {
+    const std::size_t size = n / count + (c < n % count ? 1 : 0);
+    chunks.emplace_back(begin, begin + size);
+    begin += size;
+  }
+  return chunks;
+}
+
 std::vector<ExperimentResult> run_experiments(
     const std::vector<FleetJob>& jobs, const FleetOptions& options) {
   TOPIL_REQUIRE(!jobs.empty(), "no fleet jobs");
-  TOPIL_REQUIRE(options.batch > 0, "fleet batch must be at least 1");
-  const std::size_t batch = options.batch;
-
-  // Consecutive partition: results stay in input order and a batch's lane
-  // set is a pure function of (jobs, batch), independent of worker count.
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  for (std::size_t begin = 0; begin < jobs.size(); begin += batch) {
-    chunks.emplace_back(begin, std::min(jobs.size(), begin + batch));
-  }
+  const std::size_t workers = ThreadPool::resolve_jobs(options.jobs);
+  const std::vector<std::pair<std::size_t, std::size_t>> chunks =
+      partition_jobs(jobs.size(), options.batch, workers);
 
   std::vector<ExperimentResult> results(jobs.size());
-  parallel_for_indexed(chunks.size(), options.jobs, [&](std::size_t ci) {
+  parallel_for_indexed(chunks.size(), workers, [&](std::size_t ci) {
     const auto [begin, end] = chunks[ci];
 
     // A lane is the job's governor plus the run that drives it; the run's

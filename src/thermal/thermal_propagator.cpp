@@ -64,61 +64,112 @@ void jacobi_eigen(std::vector<double>& m, std::vector<double>& v,
   }
 }
 
-/// One (lane-block, j-tile) pass of propagate_slab: for every output row
-/// i, accumulate columns [j0, j1) into `kLaneBlock` lanes starting at s0,
-/// with the accumulators held in registers for the whole tile. Forced
-/// inline into the (possibly ISA-cloned) caller so each clone vectorizes
-/// the lane loop at its own width — a default-ISA out-of-line copy would
-/// silently serialize the hot loop.
-template <std::size_t kLaneBlock>
-[[gnu::always_inline]] inline void propagate_lane_block(
+/// Eight doubles: one zmm register in the AVX-512 clone, two ymm in the
+/// AVX2 clone. `aligned(8)` makes loads and stores through it unaligned
+/// ones, and `may_alias` lets it read and write the double slabs.
+using Lanes8 = double __attribute__((vector_size(64), aligned(8), may_alias));
+constexpr std::size_t kVecLanes = 8;
+
+/// One (R-row, V-vector, j-tile) tile of propagate_slab: output rows
+/// [i0, i0 + R) by lanes [s0, s0 + 8V), over columns [j0, j1). The R*V
+/// accumulators are explicit vector values, which GCC keeps in registers
+/// across the tile; at -O2 it keeps a double array indexed by a lane loop
+/// on the stack and reloads every lane sum on every j. Each accumulator
+/// sees the scalar `step` sequence: `amb*k_i` (or the previous tile's
+/// partial sum), then `a_ij*T_j + b_ij*P_j` for ascending j. Forced inline
+/// into the (possibly ISA-cloned) caller so each clone lowers the vector
+/// arithmetic at its own width.
+template <std::size_t R, std::size_t V>
+[[gnu::always_inline]] inline void propagate_tile(
     const double* a, const double* b, const double* k, const double* temps,
     const double* power, const double* ambient, double* next, std::size_t n,
-    std::size_t lanes, const unsigned char* skip_row, std::size_t j0,
-    std::size_t j1, bool first_tile, std::size_t s0) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* arow = a + i * n;
-    const double* brow = b + i * n;
-    double* out = next + i * lanes + s0;
-    double acc[kLaneBlock];
-    if (first_tile) {
-      const double ki = k[i];
-      for (std::size_t t = 0; t < kLaneBlock; ++t) {
-        acc[t] = ambient[s0 + t] * ki;
+    std::size_t stride, const unsigned char* skip_row, std::size_t j0,
+    std::size_t j1, bool first_tile, std::size_t i0, std::size_t s0) {
+  Lanes8 acc[R][V];
+  if (first_tile) {
+    const auto* amb = reinterpret_cast<const Lanes8*>(ambient + s0);
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const double ki = k[i0 + r];
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] = amb[v] * ki;
+    }
+  } else {
+#pragma GCC unroll 8
+    for (std::size_t r = 0; r < R; ++r) {
+      const auto* out =
+          reinterpret_cast<const Lanes8*>(next + (i0 + r) * stride + s0);
+#pragma GCC unroll 8
+      for (std::size_t v = 0; v < V; ++v) acc[r][v] = out[v];
+    }
+  }
+  for (std::size_t j = j0; j < j1; ++j) {
+    const auto* trow = reinterpret_cast<const Lanes8*>(temps + j * stride + s0);
+    if (skip_row != nullptr && skip_row[j]) {
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < R; ++r) {
+        const double aij = a[(i0 + r) * n + j];
+#pragma GCC unroll 8
+        for (std::size_t v = 0; v < V; ++v) acc[r][v] += aij * trow[v];
       }
     } else {
-      for (std::size_t t = 0; t < kLaneBlock; ++t) acc[t] = out[t];
-    }
-    for (std::size_t j = j0; j < j1; ++j) {
-      const double aij = arow[j];
-      const double* trow = temps + j * lanes + s0;
-      if (skip_row != nullptr && skip_row[j]) {
-        for (std::size_t t = 0; t < kLaneBlock; ++t) acc[t] += aij * trow[t];
-      } else {
-        const double bij = brow[j];
-        const double* prow = power + j * lanes + s0;
-        for (std::size_t t = 0; t < kLaneBlock; ++t) {
-          acc[t] += aij * trow[t] + bij * prow[t];
+      const auto* prow =
+          reinterpret_cast<const Lanes8*>(power + j * stride + s0);
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < R; ++r) {
+        const double aij = a[(i0 + r) * n + j];
+        const double bij = b[(i0 + r) * n + j];
+#pragma GCC unroll 8
+        for (std::size_t v = 0; v < V; ++v) {
+          acc[r][v] += aij * trow[v] + bij * prow[v];
         }
       }
     }
-    for (std::size_t t = 0; t < kLaneBlock; ++t) out[t] = acc[t];
+  }
+#pragma GCC unroll 8
+  for (std::size_t r = 0; r < R; ++r) {
+    auto* out = reinterpret_cast<Lanes8*>(next + (i0 + r) * stride + s0);
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v < V; ++v) out[v] = acc[r][v];
   }
 }
 
-/// Inner kernel of step_batched over raw slabs. Multi-versioned where the
-/// toolchain supports it (glibc ifunc dispatch picks the widest available
-/// ISA at load time) so the lane loop runs 8 doubles per AVX-512 op on
-/// capable hosts without a separate build. Safe for the bit-exactness
-/// contract: the vectorized dimension is the lane axis (independent
-/// columns, per-lane op order unchanged), and the project compiles with
-/// -ffp-contract=off so no clone fuses a*x+b into an FMA.
+/// Every output row of one (lane-block, j-tile) pair in R-row tiles; the
+/// n % R leftover rows run as 1 x V tiles.
+template <std::size_t R, std::size_t V>
+[[gnu::always_inline]] inline void propagate_lane_block(
+    const double* a, const double* b, const double* k, const double* temps,
+    const double* power, const double* ambient, double* next, std::size_t n,
+    std::size_t stride, const unsigned char* skip_row, std::size_t j0,
+    std::size_t j1, bool first_tile, std::size_t s0) {
+  std::size_t i = 0;
+  for (; i + R <= n; i += R) {
+    propagate_tile<R, V>(a, b, k, temps, power, ambient, next, n, stride,
+                         skip_row, j0, j1, first_tile, i, s0);
+  }
+  for (; i < n; ++i) {
+    propagate_tile<1, V>(a, b, k, temps, power, ambient, next, n, stride,
+                         skip_row, j0, j1, first_tile, i, s0);
+  }
+}
+
+/// Inner kernel of step_batched over raw slabs: lanes [0, width) of
+/// node-major slabs whose rows are `stride` doubles apart; `width` is a
+/// multiple of 8. Multi-versioned where the toolchain supports it (glibc
+/// ifunc dispatch picks the widest available ISA at load time) so the
+/// tiles run 8 doubles per AVX-512 op on capable hosts without a separate
+/// build. Safe for the bit-exactness contract: the vectorized dimension is
+/// the lane axis (independent columns, per-lane op order unchanged), and
+/// the project compiles with -ffp-contract=off so no clone fuses a*x+b
+/// into an FMA.
 ///
-/// Structured as a register-blocked, j-tiled GEMM so large networks (the
+/// Structured as a register-tiled, j-tiled GEMM so large networks (the
 /// grid-refined spreader floorplans) stay compute-bound instead of
 /// re-streaming the temperature slab from L2 once per output row:
-/// - lanes are processed in blocks of kLaneBlock, whose accumulators live
-///   in registers across a whole j-tile;
+/// - lanes are processed in blocks of 64/32/16/8, each swept in tiles of
+///   R rows x V vectors with R*V = 8 (1x8, 2x4, 4x2, 8x1), so every block
+///   keeps 8 independent add chains in registers and a lane costs the
+///   same at any width;
 /// - j is tiled so the temps/power tile of one (j-tile, lane-block) pair
 ///   fits in L1 while every output row visits it.
 /// Per lane the accumulation order is untouched: j ascends within a tile
@@ -142,38 +193,29 @@ __attribute__((target_clones("avx512f", "avx2", "default")))
 void propagate_slab(const double* a, const double* b, const double* k,
                     const double* temps, const double* power,
                     const double* ambient, double* next, std::size_t n,
-                    std::size_t lanes, const unsigned char* skip_row) {
+                    std::size_t width, std::size_t stride,
+                    const unsigned char* skip_row) {
   // 32 j-values x 64 lanes x 8 bytes = 16 KiB: one (j-tile, lane-block)
   // temps tile stays L1-resident across all n output rows.
   constexpr std::size_t kJTile = 32;
   for (std::size_t j0 = 0; j0 < n; j0 += kJTile) {
     const std::size_t j1 = std::min(n, j0 + kJTile);
     const bool first = j0 == 0;
-    // Widest block first (best a/b broadcast amortization), narrowing
-    // tiers down to one lane so ragged widths — batches mid-retirement —
-    // never fall off a vector cliff.
+    // Widest block first: it amortizes each a/b broadcast over the most
+    // lanes.
     std::size_t s0 = 0;
-    for (; s0 + 64 <= lanes; s0 += 64)
-      propagate_lane_block<64>(a, b, k, temps, power, ambient, next, n, lanes,
-                               skip_row, j0, j1, first, s0);
-    for (; s0 + 32 <= lanes; s0 += 32)
-      propagate_lane_block<32>(a, b, k, temps, power, ambient, next, n, lanes,
-                               skip_row, j0, j1, first, s0);
-    for (; s0 + 16 <= lanes; s0 += 16)
-      propagate_lane_block<16>(a, b, k, temps, power, ambient, next, n, lanes,
-                               skip_row, j0, j1, first, s0);
-    for (; s0 + 8 <= lanes; s0 += 8)
-      propagate_lane_block<8>(a, b, k, temps, power, ambient, next, n, lanes,
-                              skip_row, j0, j1, first, s0);
-    for (; s0 + 4 <= lanes; s0 += 4)
-      propagate_lane_block<4>(a, b, k, temps, power, ambient, next, n, lanes,
-                              skip_row, j0, j1, first, s0);
-    for (; s0 + 2 <= lanes; s0 += 2)
-      propagate_lane_block<2>(a, b, k, temps, power, ambient, next, n, lanes,
-                              skip_row, j0, j1, first, s0);
-    for (; s0 < lanes; ++s0)
-      propagate_lane_block<1>(a, b, k, temps, power, ambient, next, n, lanes,
-                              skip_row, j0, j1, first, s0);
+    for (; s0 + 64 <= width; s0 += 64)
+      propagate_lane_block<1, 8>(a, b, k, temps, power, ambient, next, n,
+                                 stride, skip_row, j0, j1, first, s0);
+    for (; s0 + 32 <= width; s0 += 32)
+      propagate_lane_block<2, 4>(a, b, k, temps, power, ambient, next, n,
+                                 stride, skip_row, j0, j1, first, s0);
+    for (; s0 + 16 <= width; s0 += 16)
+      propagate_lane_block<4, 2>(a, b, k, temps, power, ambient, next, n,
+                                 stride, skip_row, j0, j1, first, s0);
+    for (; s0 + 8 <= width; s0 += 8)
+      propagate_lane_block<8, 1>(a, b, k, temps, power, ambient, next, n,
+                                 stride, skip_row, j0, j1, first, s0);
   }
 }
 
@@ -303,9 +345,38 @@ void ThermalPropagator::step_batched(std::vector<double>& temps_c,
     skip = ws.skip_row.data();
   }
 
-  propagate_slab(a_.data(), b_.data(), k_.data(), temps_c.data(),
-                 power_w.data(), ambient_c.data(), ws.next.data(), n_, lanes,
-                 skip);
+  // The kernel sweeps whole 8-lane vectors. The last lanes % 8 columns
+  // run as one 8-lane block over zero-padded copies: a pad lane carries
+  // +0.0 temperature, power and ambient, so it leaves the skip rows and
+  // sign-bit guards above unchanged, and lanes never mix.
+  const std::size_t body = lanes - lanes % kVecLanes;
+  if (body > 0) {
+    propagate_slab(a_.data(), b_.data(), k_.data(), temps_c.data(),
+                   power_w.data(), ambient_c.data(), ws.next.data(), n_, body,
+                   lanes, skip);
+  }
+  if (body < lanes) {
+    const std::size_t tail = lanes - body;
+    ws.tail_temps.assign(n_ * kVecLanes, 0.0);
+    ws.tail_power.assign(n_ * kVecLanes, 0.0);
+    ws.tail_next.resize(n_ * kVecLanes);
+    ws.tail_ambient.assign(kVecLanes, 0.0);
+    for (std::size_t i = 0; i < n_; ++i) {
+      std::memcpy(&ws.tail_temps[i * kVecLanes], &temps_c[i * lanes + body],
+                  tail * sizeof(double));
+      std::memcpy(&ws.tail_power[i * kVecLanes], &power_w[i * lanes + body],
+                  tail * sizeof(double));
+    }
+    std::memcpy(ws.tail_ambient.data(), &ambient_c[body],
+                tail * sizeof(double));
+    propagate_slab(a_.data(), b_.data(), k_.data(), ws.tail_temps.data(),
+                   ws.tail_power.data(), ws.tail_ambient.data(),
+                   ws.tail_next.data(), n_, kVecLanes, kVecLanes, skip);
+    for (std::size_t i = 0; i < n_; ++i) {
+      std::memcpy(&ws.next[i * lanes + body], &ws.tail_next[i * kVecLanes],
+                  tail * sizeof(double));
+    }
+  }
   temps_c.swap(ws.next);
 }
 

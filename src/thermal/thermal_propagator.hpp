@@ -53,6 +53,11 @@ class ThermalPropagator {
   struct BatchWorkspace {
     std::vector<double> next;
     std::vector<unsigned char> skip_row;  ///< all-(+0.0) power rows
+    /// Zero-padded 8-lane copies of the last `lanes % 8` columns.
+    std::vector<double> tail_temps;
+    std::vector<double> tail_power;
+    std::vector<double> tail_next;
+    std::vector<double> tail_ambient;
   };
 
   /// Advance `lanes` independent temperature states by `dt` in one dense
@@ -63,9 +68,10 @@ class ThermalPropagator {
   /// and `ambient_c` holds one ambient per lane. Per lane, the accumulation
   /// order is exactly the scalar `step` order (`amb * k_i`, then `a_ij *
   /// T_j + b_ij * P_j` for ascending j), so with FP contraction disabled
-  /// every lane's result is bit-identical to stepping it alone; the inner
-  /// lane loop is what vectorizes. The fleet engine relies on this for its
-  /// scalar-vs-batched digest guarantee (DESIGN.md §10).
+  /// every lane's result is bit-identical to stepping it alone; the lane
+  /// axis is what vectorizes, 8 lanes per vector, with the last `lanes % 8`
+  /// lanes stepped in a zero-padded vector. The fleet engine relies on this
+  /// for its scalar-vs-batched digest guarantee (DESIGN.md §10).
   void step_batched(std::vector<double>& temps_c,
                     const std::vector<double>& power_w,
                     const std::vector<double>& ambient_c, std::size_t lanes,

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -96,6 +99,25 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_EQ(visits[i], 1) << "index " << i;
   }
+}
+
+// A call runs at most `jobs` threads: the caller is one of the workers.
+// Every fn(i) waits until all n == jobs indices have started, so each
+// thread takes exactly one index and the caller must take one too.
+TEST(ParallelFor, CallerIsOneOfTheWorkers) {
+  constexpr std::size_t kJobs = 3;
+  std::mutex mutex;
+  std::condition_variable all_started;
+  std::size_t started = 0;
+  std::vector<std::thread::id> ids(kJobs);
+  parallel_for_indexed(kJobs, kJobs, [&](std::size_t i) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ids[i] = std::this_thread::get_id();
+    if (++started == kJobs) all_started.notify_all();
+    all_started.wait(lock, [&] { return started == kJobs; });
+  });
+  EXPECT_NE(std::find(ids.begin(), ids.end(), std::this_thread::get_id()),
+            ids.end());
 }
 
 TEST(ParallelFor, RethrowsTheLowestFailingIndex) {

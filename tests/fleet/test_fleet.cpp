@@ -375,6 +375,40 @@ TEST(FleetAggregator, TopIlLanesMatchScalarRuns) {
 
 // --- option plumbing ---------------------------------------------------
 
+// run_experiments cuts n jobs into max(ceil(n / batch), min(n, workers))
+// consecutive chunks whose sizes differ by at most one, so every worker
+// gets an engine and no engine is wider than `batch`.
+TEST(FleetPartition, BalancedChunksGiveEveryWorkerAnEngine) {
+  struct Layout {
+    std::size_t n, batch, workers;
+    std::vector<std::size_t> sizes;
+  };
+  const std::vector<Layout> layouts = {
+      {128, 64, 3, {43, 43, 42}},
+      {128, 16, 4, std::vector<std::size_t>(8, 16)},
+      {128, 128, 4, {32, 32, 32, 32}},
+      {17, 64, 1, {17}},
+      {10, 3, 1, {3, 3, 2, 2}},
+      {5, 64, 8, {1, 1, 1, 1, 1}},
+  };
+  for (const Layout& layout : layouts) {
+    const auto chunks =
+        fleet::partition_jobs(layout.n, layout.batch, layout.workers);
+    std::vector<std::size_t> sizes;
+    std::size_t next = 0;
+    for (const auto& [begin, end] : chunks) {
+      EXPECT_EQ(begin, next) << "chunks must be consecutive";
+      EXPECT_LE(end - begin, layout.batch);
+      sizes.push_back(end - begin);
+      next = end;
+    }
+    EXPECT_EQ(next, layout.n) << "chunks must cover every job";
+    EXPECT_EQ(sizes, layout.sizes)
+        << "n " << layout.n << ", batch " << layout.batch << ", workers "
+        << layout.workers;
+  }
+}
+
 TEST(FleetOptions, RejectsBatchZero) {
   const PlatformSpec platform = PlatformSpec::hikey970();
   WorkloadGenerator generator(platform);

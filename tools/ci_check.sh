@@ -218,20 +218,24 @@ if [[ "${FLEET:-1}" != "0" ]]; then
   # The pinned corpus replayed through the SoA fleet engine must produce
   # the same per-scenario digests as the golden (scalar-recorded) file at
   # every batch width — the bit-for-bit contract of DESIGN.md §10. Batch 4
-  # exercises ragged groups and retirement compaction; batch 64 is the
-  # full-width kernel.
+  # exercises ragged groups and retirement compaction. Batch 64 runs on one
+  # worker so that one engine holds every corpus lane: run_experiments
+  # gives each worker an engine, so more workers would split the corpus
+  # into engines a few lanes wide.
   corpus=("${repo_root}"/tests/scenario/corpus/*.scenario)
   golden="${repo_root}/tests/scenario/corpus/GOLDEN_DIGESTS"
-  for fleet_batch in 4 64; do
-    "${build_dir}/tools/topil_fuzz" --fleet-batch "${fleet_batch}" \
-      --jobs "${jobs}" --golden "${golden}" --replay "${corpus[@]}"
-  done
+  "${build_dir}/tools/topil_fuzz" --fleet-batch 4 --jobs "${jobs}" \
+    --golden "${golden}" --replay "${corpus[@]}"
+  "${build_dir}/tools/topil_fuzz" --fleet-batch 64 --jobs 1 \
+    --golden "${golden}" --replay "${corpus[@]}"
 
-  echo "== fleet benchmark check (perfbench, 12x12 grid at batch 64)"
+  echo "== fleet benchmark check (perfbench, 12x12 grid, 43/43/42-lane engines)"
   # The fleet workload re-runs lanes through the scalar run_experiment and
   # fails unless every result field matches bit for bit, on the 12x12
-  # package grid at batch 64 — a width and floorplan no ctest case runs.
-  # It builds its own tree under .bench_build/ in the repo root.
+  # package grid at batch 64 over 3 workers, which run_experiments cuts
+  # into 43/43/42-lane engines — widths and a floorplan no ctest case
+  # runs end to end. It builds its own tree under .bench_build/ in the
+  # repo root.
   (cd "${repo_root}" && python3 perfbench/run.py --workload fleet --seed 1 \
     --seconds 3 --trace 0)
 

@@ -64,7 +64,7 @@ struct Options {
       "  --corpus-dir D    write failing reproducers into D\n"
       "  --digest-out F    write the campaign digest (hex) to F\n"
       "  --fleet-batch N   additionally replay scenarios through the fleet\n"
-      "                    engine, N lanes per lockstep batch, and require\n"
+      "                    engine, at most N lanes per engine, and require\n"
       "                    bit-identical digests    (default: 1 = off)\n"
       "  --golden F        replay only: verify per-scenario digests against\n"
       "                    the golden file F\n"
@@ -170,9 +170,10 @@ struct ReplayEntry {
 };
 
 /// Replay every entry through the lockstep fleet engine (exponential
-/// integrator, `batch` lanes per batch, `jobs` workers) and require each
-/// lane to reproduce its scalar exponential digest bit-for-bit. Mirrors the
-/// campaign's fleet-determinism stage, but against the committed corpus.
+/// integrator, at most `batch` lanes per engine, `jobs` workers) and
+/// require each lane to reproduce its scalar exponential digest
+/// bit-for-bit. Mirrors the campaign's fleet-determinism stage, but against
+/// the committed corpus.
 void replay_fleet_stage(std::vector<ReplayEntry>& entries, std::size_t batch,
                         std::size_t jobs) {
   std::vector<const ScenarioSpec*> specs;
