@@ -1,5 +1,6 @@
 // Microbenchmarks of the substrate (google-benchmark): NN inference,
-// fp16 compilation, thermal network stepping, and full simulator ticks.
+// fp16 compilation, thermal network stepping, full simulator ticks and the
+// per-tick state digest.
 // These quantify why the runtime governor is cheap and why design-time
 // trace collection can afford thousands of steady-state solves.
 
@@ -9,8 +10,10 @@
 #include "common/thread_pool.hpp"
 #include "il/trace_collector.hpp"
 #include "npu/compiled_model.hpp"
+#include "server/device_scenario.hpp"
 #include "sim/system_sim.hpp"
 #include "thermal/rc_network.hpp"
+#include "validate/state_digest.hpp"
 
 namespace {
 
@@ -174,6 +177,31 @@ BENCHMARK(BM_SimulatorTick)
     ->Args({1, 1})
     ->Args({8, 1})
     ->Args({16, 1});
+
+// The per-tick state digest every DigestMonitor (one per served device)
+// takes. The state is a make_device_scenario device with its 3 apps
+// running. Arg 0 = package grid: 1 = its 13-node network, 12 = the
+// 156-node 12x12 spreader grid.
+void BM_TickStateDigest(benchmark::State& state) {
+  const scenario::ScenarioSpec spec =
+      server::make_device_scenario(1, 0, server::DeviceScenarioOptions{});
+  scenario::MaterializedScenario mat = scenario::materialize(spec);
+  mat.sim.floorplan.package_grid = static_cast<std::size_t>(state.range(0));
+  SystemSim sim(mat.platform, mat.cooling, mat.sim);
+  const std::vector<WorkloadItem>& items = mat.workload.items();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    sim.spawn(Workload::app_of(items[i]), items[i].qos_target_ips,
+              i % mat.platform.num_cores());
+  }
+  sim.run_for(1.0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(validate::tick_state_digest(sim));
+  }
+  state.counters["nodes"] =
+      static_cast<double>(sim.thermal().node_temps_c().size());
+  state.counters["processes"] = static_cast<double>(sim.num_running());
+}
+BENCHMARK(BM_TickStateDigest)->Arg(1)->Arg(12);
 
 void BM_ScenarioTraceCollection(benchmark::State& state) {
   const PlatformSpec platform = PlatformSpec::hikey970();

@@ -25,19 +25,23 @@ std::uint32_t frame_crc(std::uint16_t type, std::string_view payload) {
 }  // namespace
 
 std::string encode_frame(MsgType type, std::string_view payload) {
+  std::string out;
+  out.reserve(kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
+  append_frame(out, type, payload);
+  return out;
+}
+
+void append_frame(std::string& out, MsgType type, std::string_view payload) {
   TOPIL_REQUIRE(payload.size() <= kMaxFramePayload,
                 "server frame payload too large: " +
                     std::to_string(payload.size()));
   const std::uint32_t len = static_cast<std::uint32_t>(payload.size());
   const std::uint16_t t = static_cast<std::uint16_t>(type);
   const std::uint32_t crc = frame_crc(t, payload);
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size() + kFrameTrailerBytes);
   out.append(reinterpret_cast<const char*>(&len), sizeof(len));
   out.append(reinterpret_cast<const char*>(&t), sizeof(t));
   out.append(payload.data(), payload.size());
   out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return out;
 }
 
 void FrameReader::feed(const void* data, std::size_t n) {

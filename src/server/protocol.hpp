@@ -109,6 +109,9 @@ struct Frame {
 
 /// Frame `payload` under the wire format.
 std::string encode_frame(MsgType type, std::string_view payload);
+/// Append the frame of `payload` to `out` (several frames may share one
+/// buffer and one write).
+void append_frame(std::string& out, MsgType type, std::string_view payload);
 
 /// Incremental frame decoder over a byte stream. Feed arbitrary chunks;
 /// `next()` returns complete frames in order and throws InvalidArgument on

@@ -24,8 +24,9 @@ namespace topil::server {
 ///    dispatches requests to shard inboxes. A malformed frame kills only
 ///    the offending connection (kError reply, then close).
 ///  - N shard worker threads call Shard::pump() in a loop, sleeping
-///    briefly when their shard is idle. Action/retire frames are written
-///    by the workers directly (Connection serializes writes).
+///    briefly when their shard is idle. Each pump writes its acks, errors,
+///    actions and retire frames itself, once per connection (Connection
+///    serializes writes).
 struct ServerConfig {
   std::size_t nshards = 4;
   std::uint64_t policy_seed = 1;

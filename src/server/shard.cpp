@@ -155,7 +155,7 @@ void Shard::attach_device(Device& device) {
     ++dev->action_seq;
     if (dev->conn != nullptr && !dev->conn->dead()) {
       m.sent_ns = steady_now_ns();
-      dev->conn->send(MsgType::kAction, encode_action(m));
+      outbox_.queue(dev->conn, MsgType::kAction, encode_action(m));
     }
     actions_sent_.fetch_add(1, std::memory_order_relaxed);
   };
@@ -165,9 +165,7 @@ void Shard::attach_device(Device& device) {
 void Shard::handle_register(PendingRegister&& req) {
   const std::uint64_t id = req.msg.device_id;
   const auto reply_error = [&](const std::string& why) {
-    if (req.conn) {
-      req.conn->send(MsgType::kError, encode_error(ErrorMsg{id, why}));
-    }
+    outbox_.queue(req.conn, MsgType::kError, encode_error(ErrorMsg{id, why}));
   };
   if (devices_.count(id) != 0) {
     reply_error("device " + std::to_string(id) + " is already registered");
@@ -182,21 +180,19 @@ void Shard::handle_register(PendingRegister&& req) {
     return;
   }
   device->conn = req.conn;
-  // Durability before visibility: the registration is on disk (fsync'd)
-  // before the ack, so an acked device can never vanish across a crash.
+  // Durability before visibility: pump() syncs this record before the
+  // queued ack is written, so an acked device can never vanish across a
+  // crash.
   if (wal_) {
     wal_->append(kShardWalRegister,
                  wal_register_payload(id, device->scenario_text));
-    wal_->sync();
   }
   attach_device(*device);
   devices_.emplace(id, std::move(device));
   registered_.fetch_add(1, std::memory_order_relaxed);
   live_.fetch_add(1, std::memory_order_relaxed);
-  if (req.conn) {
-    req.conn->send(MsgType::kRegisterAck,
-                   encode_register_ack(RegisterAckMsg{id, config_.index}));
-  }
+  outbox_.queue(req.conn, MsgType::kRegisterAck,
+                encode_register_ack(RegisterAckMsg{id, config_.index}));
 }
 
 void Shard::accumulate_violations(Device& device) {
@@ -212,7 +208,6 @@ void Shard::handle_deregister(std::uint64_t device_id) {
   Device& device = *it->second;
   if (wal_) {
     wal_->append(kShardWalDeregister, wal_deregister_payload(device_id));
-    wal_->sync();
   }
   engine_.detach_lane(device.lane);
   ++retired_since_compact_;
@@ -221,34 +216,34 @@ void Shard::handle_deregister(std::uint64_t device_id) {
   live_.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void Shard::finish_retirements() {
-  std::vector<std::uint64_t> done;
+std::size_t Shard::finish_retirements() {
+  std::vector<RetireMsg> done;
   for (const auto& [id, device] : devices_) {
-    if (!engine_.lane_active(device->lane)) done.push_back(id);
-  }
-  for (const std::uint64_t id : done) {
-    Device& device = *devices_.at(id);
+    if (engine_.lane_active(device->lane)) continue;
     RetireMsg m;
     m.device_id = id;
-    m.digest = device.monitor.digest();
-    m.ticks = device.monitor.ticks();
-    m.actions = device.action_seq;
-    m.action_digest = device.action_digest.value();
-    // WAL first: the retirement outcome must survive a crash even if the
-    // client never sees the frame.
-    if (wal_) {
+    m.digest = device->monitor.digest();
+    m.ticks = device->monitor.ticks();
+    m.actions = device->action_seq;
+    m.action_digest = device->action_digest.value();
+    done.push_back(m);
+  }
+  // WAL first: every retirement outcome must survive a crash even if the
+  // client never sees its frame. One fsync covers the whole tick.
+  if (wal_ && !done.empty()) {
+    for (const RetireMsg& m : done) {
       wal_->append(kShardWalRetired, wal_retired_payload(m));
-      wal_->sync();
     }
-    if (device.conn != nullptr && !device.conn->dead()) {
-      device.conn->send(MsgType::kRetire, encode_retire(m));
-    }
-    accumulate_violations(device);
-    devices_.erase(id);
-    live_.fetch_sub(1, std::memory_order_relaxed);
-    retired_.fetch_add(1, std::memory_order_relaxed);
+    wal_->sync();
+  }
+  for (const RetireMsg& m : done) {
+    const auto it = devices_.find(m.device_id);
+    outbox_.queue(it->second->conn, MsgType::kRetire, encode_retire(m));
+    accumulate_violations(*it->second);
+    devices_.erase(it);
     ++retired_since_compact_;
   }
+  return done.size();
 }
 
 bool Shard::pump() {
@@ -261,17 +256,28 @@ bool Shard::pump() {
     registers.swap(inbox_register_);
     deregisters.swap(inbox_deregister_);
   }
+  // Group commit: the batch's records take one fsync, and its acks and
+  // errors, queued in request order, leave with the flush below.
   for (PendingRegister& req : registers) handle_register(std::move(req));
   for (const std::uint64_t id : deregisters) handle_deregister(id);
+  if (wal_ && !(registers.empty() && deregisters.empty())) wal_->sync();
 
+  std::size_t retired = 0;
   if (!devices_.empty()) {
     engine_.step();
     fleet_ticks_.fetch_add(1, std::memory_order_relaxed);
     device_ticks_.fetch_add(devices_.size(), std::memory_order_relaxed);
-    finish_retirements();
+    retired = finish_retirements();
     npu_rows_.store(aggregator_.rows_inferred(), std::memory_order_relaxed);
     npu_calls_.store(aggregator_.device_calls(), std::memory_order_relaxed);
   }
+
+  // One write per connection, before any checkpoint write can delay it.
+  // The retirements count only now, so that a shard reads idle() only
+  // once its retire frames are out.
+  outbox_.flush();
+  live_.fetch_sub(retired, std::memory_order_relaxed);
+  retired_.fetch_add(retired, std::memory_order_relaxed);
 
   if (retired_since_compact_ > 0) {
     const std::vector<std::size_t> remap = engine_.compact();

@@ -29,10 +29,13 @@ inline constexpr std::uint32_t kShardWalDeregister = 3;
 /// owning server drives `pump()` from a dedicated worker thread; the IO
 /// thread only touches the inbox (mutex) and the stats counters (atomics).
 ///
-/// Durability (when `state_dir` is set): registrations, retirements, and
-/// deregistrations append to shard<k>.wal (fsync'd before the client sees
-/// an ack), and a periodic TOPC checkpoint snapshots every live device
-/// (sim + governor + digest chains) at a step boundary. `resume` rebuilds
+/// Egress and durability: every frame a pump produces (acks, errors,
+/// actions, retire frames) is queued in its Outbox and written once per
+/// connection at the end of the pump. With a `state_dir`, registrations,
+/// retirements, and deregistrations append to shard<k>.wal, group-committed
+/// by one fsync per batch before any of the batch's frames leave, and a
+/// periodic TOPC checkpoint snapshots every live device (sim + governor +
+/// digest chains) at a step boundary. `resume` rebuilds
 /// the fleet from WAL ∘ checkpoint: checkpointed devices continue
 /// bit-identically mid-run, registrations after the last checkpoint restart
 /// from tick zero (equally deterministic), finished devices stay finished.
@@ -67,9 +70,10 @@ class Shard {
 
   // --- worker-thread side ---
 
-  /// Drain the inbox, step every live device one tick, stream actions,
-  /// handle retirements, checkpoint on schedule. Returns true when there
-  /// is (or may soon be) work: live devices or queued requests.
+  /// Drain the inbox, step every live device one tick, handle
+  /// retirements, write the pump's frames, checkpoint on schedule. Returns
+  /// true when there is (or may soon be) work: live devices or queued
+  /// requests.
   bool pump();
 
   /// Snapshot every live device into shard<k>.ckpt (no-op without a
@@ -105,7 +109,8 @@ class Shard {
   std::unique_ptr<Device> build_device(std::uint64_t id,
                                        const std::string& scenario_text);
   void attach_device(Device& device);
-  void finish_retirements();
+  /// Retire every device whose run ended; returns how many.
+  std::size_t finish_retirements();
   void accumulate_violations(Device& device);
   std::string checkpoint_path() const;
   std::string encode_shard_checkpoint();
@@ -116,6 +121,7 @@ class Shard {
   fleet::FleetEngine engine_;
   std::map<std::uint64_t, std::unique_ptr<Device>> devices_;
   std::optional<persist::WalWriter> wal_;
+  Outbox outbox_;
   std::size_t retired_since_compact_ = 0;
 
   mutable std::mutex inbox_mutex_;

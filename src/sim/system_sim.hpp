@@ -88,6 +88,8 @@ class SystemSim {
   void migrate(Pid pid, CoreId core);
 
   const Process& process(Pid pid) const;
+  /// Every running process, by ascending pid.
+  const std::map<Pid, Process>& processes() const { return processes_; }
   bool is_running(Pid pid) const;
   std::vector<Pid> running_pids() const;
   std::size_t num_running() const;

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "persist/state_codec.hpp"
+#include "persist/wal.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
 
@@ -26,6 +32,117 @@ DeviceScenarioOptions short_device() {
   opts.num_apps = 2;
   return opts;
 }
+
+/// Runs for seconds of shard time even unloaded (360k ticks), so it is
+/// still live whenever a test acts on it; tests deregister it when done.
+DeviceScenarioOptions long_device() {
+  DeviceScenarioOptions opts = short_device();
+  opts.max_duration_s = 3600.0;
+  opts.instruction_scale = 2.0;
+  return opts;
+}
+
+std::string scratch_dir(const std::string& name) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("topil_server_" + name + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir.string();
+}
+
+/// Device ids of the shard WAL's register records.
+std::multiset<std::uint64_t> wal_registered_ids(const std::string& wal_path) {
+  std::multiset<std::uint64_t> ids;
+  for (const persist::WalRecord& record :
+       persist::recover_wal(wal_path).records) {
+    if (record.type != kShardWalRegister) continue;
+    persist::StateReader in(record.payload);
+    in.expect_tag("SWRG");
+    ids.insert(in.u64());
+  }
+  return ids;
+}
+
+/// Checks one shard's frame stream against its WAL (`dir`/shard0.wal)
+/// as read when a batch of frames is seen: each ack and retire frame
+/// needs its device's record in the WAL already, and per device the
+/// frames come as ack, actions in seq order, retire.
+class WalOrderCheck {
+ public:
+  explicit WalOrderCheck(std::string dir) : dir_(std::move(dir)) {}
+
+  void check(const std::vector<ClientEvent>& batch) {
+    const std::multiset<std::uint64_t> registered =
+        wal_registered_ids(dir_ + "/shard0.wal");
+    std::set<std::uint64_t> retired_in_wal;
+    for (const RetireMsg& m : read_retired_devices(dir_, 1)) {
+      retired_in_wal.insert(m.device_id);
+    }
+    for (const ClientEvent& ev : batch) {
+      if (ev.type == MsgType::kRegisterAck) {
+        const std::uint64_t id = ev.ack.device_id;
+        EXPECT_EQ(registered.count(id), 1u)
+            << "ack of device " << id << " before its record";
+        EXPECT_TRUE(acked.insert(id).second);
+      } else if (ev.type == MsgType::kAction) {
+        const std::uint64_t id = ev.action.device_id;
+        EXPECT_EQ(acked.count(id), 1u) << "action before ack, device " << id;
+        EXPECT_EQ(retired.count(id), 0u) << "action after retire " << id;
+        EXPECT_EQ(ev.action.seq, next_action_[id]++) << "device " << id;
+      } else if (ev.type == MsgType::kRetire) {
+        const std::uint64_t id = ev.retire.device_id;
+        EXPECT_EQ(retired_in_wal.count(id), 1u)
+            << "retire frame of device " << id << " before its record";
+        EXPECT_TRUE(retired.insert(id).second);
+        EXPECT_EQ(ev.retire.actions, next_action_[id]) << "device " << id;
+      } else {
+        ADD_FAILURE() << "unexpected frame type " << static_cast<int>(ev.type);
+      }
+    }
+  }
+
+  std::set<std::uint64_t> acked, retired;
+
+ private:
+  std::string dir_;
+  std::map<std::uint64_t, std::uint64_t> next_action_;
+};
+
+/// Server end of a connection that runs a WalOrderCheck on the frames of
+/// every write at the moment of the write.
+class WalCheckingStream final : public ByteStream {
+ public:
+  explicit WalCheckingStream(const std::string& dir) : order(dir) {}
+
+  std::size_t read_some(void*, std::size_t) override { return 0; }
+  bool closed() override { return false; }
+  void close() override {}
+
+  void write(const void* data, std::size_t n) override {
+    reader_.feed(data, n);
+    std::vector<ClientEvent> batch;
+    while (auto frame = reader_.next()) {
+      ClientEvent& ev = batch.emplace_back();
+      ev.type = frame->type;
+      if (ev.type == MsgType::kRegisterAck) {
+        ev.ack = decode_register_ack(frame->payload);
+      } else if (ev.type == MsgType::kAction) {
+        ev.action = decode_action(frame->payload);
+      } else if (ev.type == MsgType::kRetire) {
+        ev.retire = decode_retire(frame->payload);
+      }
+    }
+    EXPECT_EQ(reader_.buffered(), 0u) << "a write ended mid-frame";
+    order.check(batch);
+    frames_per_write.push_back(batch.size());
+  }
+
+  WalOrderCheck order;
+  std::vector<std::size_t> frames_per_write;
+
+ private:
+  FrameReader reader_;
+};
 
 ServerConfig base_config() {
   ServerConfig sc;
@@ -124,8 +241,10 @@ TEST(GovernorService, RejectsDuplicateAndMalformedRegistrations) {
   ASSERT_EQ(events[0].type, MsgType::kError);
   EXPECT_EQ(events[0].error.device_id, 7u);
 
+  // Device 8 must outlive both registrations: a short device could retire
+  // between them, and the second would then be a valid re-registration.
   const std::string spec =
-      make_device_scenario(kSeed, 8, short_device()).serialize();
+      make_device_scenario(kSeed, 8, long_device()).serialize();
   client.register_device(8, spec);
   client.register_device(8, spec);  // duplicate id
   bool saw_ack = false, saw_dup_error = false;
@@ -143,8 +262,102 @@ TEST(GovernorService, RejectsDuplicateAndMalformedRegistrations) {
       }
     }
   }
+  client.deregister_device(8);
   server.wait_drained();
   server.stop();
+  EXPECT_EQ(server.stats().devices_registered, 1u);
+}
+
+TEST(GovernorService, DuplicateRegistrationsInOnePumpAdmitOne) {
+  const std::string dir = scratch_dir("duplicate");
+  Shard::Config config;
+  config.policy_seed = kPolicySeed;
+  config.epoch_ticks = kEpochTicks;
+  config.state_dir = dir;
+  Shard shard(config);
+  auto [client_end, server_end] = make_loopback_pair();
+  auto conn = std::make_shared<Connection>(std::move(server_end));
+  ServiceClient client(std::move(client_end));
+
+  const std::string spec =
+      make_device_scenario(kSeed, 8, short_device()).serialize();
+  shard.enqueue_register(RegisterMsg{8, spec}, conn);
+  shard.enqueue_register(RegisterMsg{8, spec}, conn);
+  shard.pump();  // drains both, steps one tick
+
+  std::vector<ClientEvent> events;
+  client.poll(events);
+  ASSERT_EQ(events.size(), 2u);
+  // Replies leave in request order.
+  EXPECT_EQ(events[0].type, MsgType::kRegisterAck);
+  EXPECT_EQ(events[0].ack.device_id, 8u);
+  ASSERT_EQ(events[1].type, MsgType::kError);
+  EXPECT_EQ(events[1].error.device_id, 8u);
+  EXPECT_NE(events[1].error.message.find("already registered"),
+            std::string::npos);
+  EXPECT_EQ(wal_registered_ids(dir + "/shard0.wal"),
+            std::multiset<std::uint64_t>{8});
+  EXPECT_EQ(shard.devices_live(), 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(GovernorService, ShardWritesEachFrameAfterItsWalRecord) {
+  const std::string dir = scratch_dir("walorder");
+  Shard::Config config;
+  config.policy_seed = kPolicySeed;
+  config.epoch_ticks = kEpochTicks;
+  config.state_dir = dir;
+  Shard shard(config);
+  auto stream = std::make_unique<WalCheckingStream>(dir);
+  WalCheckingStream& checked = *stream;
+  auto conn = std::make_shared<Connection>(std::move(stream));
+  constexpr std::uint64_t kDevices = 64;
+  for (std::uint64_t id = 0; id < kDevices; ++id) {
+    shard.enqueue_register(
+        RegisterMsg{id,
+                    make_device_scenario(kSeed, id, short_device())
+                        .serialize()},
+        conn);
+  }
+  std::size_t pumps = 0;
+  while (shard.pump()) ++pumps;
+  ++pumps;  // the last pump, which retired the last devices
+
+  EXPECT_EQ(checked.order.acked.size(), kDevices);
+  EXPECT_EQ(checked.order.retired.size(), kDevices);
+  // One write per pump at most, and the first carries every ack.
+  EXPECT_LE(checked.frames_per_write.size(), pumps);
+  ASSERT_FALSE(checked.frames_per_write.empty());
+  EXPECT_EQ(checked.frames_per_write.front(), kDevices);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(GovernorService, BurstOfRegistrationsStreamsInOrderBehindTheWal) {
+  const std::string dir = scratch_dir("durability");
+  ServerConfig sc = base_config();
+  sc.nshards = 1;
+  sc.state_dir = dir;
+  GovernorServer server(sc);
+  server.start();
+  ServiceClient client(server.connect_local());
+  constexpr std::uint64_t kDevices = 64;
+  for (std::uint64_t id = 0; id < kDevices; ++id) {
+    client.register_device(
+        id, make_device_scenario(kSeed, id, short_device()).serialize());
+  }
+
+  // Each batch is checked against the WAL as read after it arrived.
+  WalOrderCheck order(dir);
+  std::vector<ClientEvent> events;
+  while (order.retired.size() < kDevices) {
+    events.clear();
+    ASSERT_GT(client.poll_wait(events, 30'000), 0u);
+    order.check(events);
+  }
+  EXPECT_EQ(order.acked.size(), kDevices);
+  server.wait_drained();
+  server.stop();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(GovernorService, DeregisterRemovesADeviceMidRun) {

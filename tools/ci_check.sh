@@ -11,7 +11,8 @@
 # golden digests (plus the benchmark's fleet check and a perf_fleet smoke
 # run), run the governor-server gate
 # (protocol corruption fuzz under the sanitizer build, a perf_server soak
-# smoke, and a kill -9 + --resume digest-parity check on topil_serve), and
+# smoke, the benchmark's serve check, and a kill -9 + --resume
+# digest-parity check on topil_serve), and
 # record the integrator perf gate (Heun vs exponential) plus the
 # dense-kernel perf gate (perf_infer: production inference and training
 # kernels vs scalar reference) into the build dir. A default run modifies
@@ -39,9 +40,9 @@
 #   FLEET           0 to skip the fleet determinism gate (corpus replay,
 #                   benchmark fleet check, perf smoke) (default: 1)
 #   SERVER          0 to skip the governor-server gate (protocol fuzz
-#                   under the sanitizer build, perf_server --smoke, and a
-#                   kill -9 + --resume digest-parity check on topil_serve)
-#                   (default: 1)
+#                   under the sanitizer build, perf_server --smoke, the
+#                   benchmark's serve check, and a kill -9 + --resume
+#                   digest-parity check on topil_serve) (default: 1)
 #   PERF_OUT        path for the integrator perf record (default:
 #                   <build-dir>/BENCH_pr3.json); set to "" to skip the
 #                   stage
@@ -270,6 +271,16 @@ if [[ "${SERVER:-1}" != "0" ]]; then
   # a correctness gate; the full BENCH_server.json soak is manual.
   "${build_dir}/bench/perf_server" --smoke --jobs "${jobs}" \
     --json "${build_dir}/BENCH_server_smoke.json"
+
+  echo "== server benchmark check (perfbench serve, TCP, durable 2 shards)"
+  # The serve workload registers 256-device cohorts over TCP with a
+  # durable 2-shard server (WAL + checkpoints) and fails unless every
+  # cohort retires with cohort 0's digests, ticks and action counts, and
+  # two devices match run_reference_device: the only check of retire
+  # digests over TCP, across cohorts, against a durable server. It builds
+  # its own tree under .bench_build/ in the repo root.
+  (cd "${repo_root}" && python3 perfbench/run.py --workload serve --seed 1 \
+    --seconds 3 --trace 0)
 
   echo "== server crash-recovery gate (kill -9 + --resume digest parity)"
   # Golden: an uninterrupted self-driven fleet, dumping every retired
