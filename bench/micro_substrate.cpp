@@ -7,7 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "apps/app_database.hpp"
-#include "common/thread_pool.hpp"
+#include "common/parallel_for.hpp"
 #include "il/trace_collector.hpp"
 #include "npu/compiled_model.hpp"
 #include "server/device_scenario.hpp"
@@ -309,7 +309,7 @@ void BM_ParallelTraceCollection(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelTraceCollection)
     ->Arg(1)
-    ->Arg(static_cast<long>(topil::ThreadPool::default_jobs()))
+    ->Arg(static_cast<long>(topil::default_jobs()))
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 

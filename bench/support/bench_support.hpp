@@ -5,8 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel_for.hpp"
 #include "common/table.hpp"
-#include "common/thread_pool.hpp"
 #include "core/runner.hpp"
 #include "core/training.hpp"
 #include "thermal/thermal_propagator.hpp"
@@ -53,7 +53,7 @@ std::string pm(const RunningStats& stats, int precision = 2);
 ///                checker (src/validate); the first violated invariant
 ///                aborts the run with a structured error
 struct BenchOptions {
-  std::size_t jobs = ThreadPool::default_jobs();
+  std::size_t jobs = default_jobs();
   std::string json_path;  ///< empty = no JSON output
   /// Bench binaries default to the fast exponential propagator; pass
   /// `--integrator heun` to reproduce historical Heun transients.

@@ -3,15 +3,31 @@
 #include <atomic>
 #include <cstddef>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.hpp"
-
 namespace topil {
+
+/// Job count used when a caller passes 0 ("auto"): the hardware thread
+/// count, with a floor of 1 on restricted machines.
+std::size_t default_jobs();
+
+/// Resolve a user-supplied job count: 0 maps to `default_jobs()`.
+inline std::size_t resolve_jobs(std::size_t jobs) {
+  return jobs == 0 ? default_jobs() : jobs;
+}
+
+namespace detail {
+/// Run `drain` on `helpers` threads taken from the process-wide helper
+/// cache and on the calling thread; return once every run has returned.
+/// A helper parks again when its run returns, and the next call reuses it;
+/// a thread starts only when no helper is parked. `drain` must not throw.
+void run_on_helpers(std::size_t helpers, const std::function<void()>& drain);
+}  // namespace detail
 
 /// Deterministic data-parallel primitives for the design-time pipeline.
 ///
@@ -27,19 +43,21 @@ namespace topil {
 /// rethrown on the calling thread after all scheduled work has finished.
 
 /// Run `fn(i)` for every i in [0, n) on up to `jobs` threads
-/// (`jobs == 0` = hardware concurrency).
+/// (`jobs == 0` = hardware concurrency). `fn` may itself call
+/// `parallel_for_indexed`; nested and concurrent calls take distinct
+/// helpers.
 template <typename Fn>
 void parallel_for_indexed(std::size_t n, std::size_t jobs, Fn&& fn) {
   if (n == 0) return;
-  jobs = ThreadPool::resolve_jobs(jobs);
+  jobs = resolve_jobs(jobs);
   if (jobs == 1 || n == 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
-  // One long-lived task per worker pulling indices from a shared counter:
-  // coarse tasks (scenario sims, NAS trainings) self-balance without
-  // enqueueing n closures, and the queue can never overflow.
+  // Every thread runs one drain loop pulling indices from a shared
+  // counter: coarse tasks (scenario sims, NAS trainings) self-balance
+  // without handing out n closures.
   std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
   std::size_t error_index = 0;
@@ -61,14 +79,9 @@ void parallel_for_indexed(std::size_t n, std::size_t jobs, Fn&& fn) {
   };
 
   // The calling thread is one of the workers, so `jobs` threads run in
-  // all: the pool adds jobs - 1 instead of leaving the caller asleep.
+  // all: jobs - 1 helpers join it instead of leaving the caller asleep.
   const std::size_t workers = jobs < n ? jobs : n;
-  {
-    ThreadPool pool(workers - 1, workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) pool.submit(drain);
-    drain();
-    pool.wait_idle();
-  }
+  detail::run_on_helpers(workers - 1, drain);
   if (error) std::rethrow_exception(error);
 }
 

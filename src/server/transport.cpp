@@ -12,6 +12,7 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 
 #include "common/error.hpp"
@@ -187,6 +188,12 @@ void TcpListener::shutdown() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+std::uint16_t parse_port(const std::string& text) {
+  const unsigned long port = std::stoul(text);
+  if (port > 65535) throw std::out_of_range("port above 65535: " + text);
+  return static_cast<std::uint16_t>(port);
 }
 
 std::unique_ptr<ByteStream> connect_tcp(const std::string& host,

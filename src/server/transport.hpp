@@ -63,6 +63,10 @@ class TcpListener {
   std::uint16_t port_ = 0;
 };
 
+/// Parse a TCP port number. Throws std::invalid_argument on text that is
+/// not a number and std::out_of_range on a value above 65535.
+std::uint16_t parse_port(const std::string& text);
+
 /// Connect to a TCP server; retries briefly while the port is not yet
 /// listening (server startup race in tests/CI).
 std::unique_ptr<ByteStream> connect_tcp(const std::string& host,

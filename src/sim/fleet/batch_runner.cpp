@@ -27,7 +27,7 @@ std::vector<std::pair<std::size_t, std::size_t>> partition_jobs(
 std::vector<ExperimentResult> run_experiments(
     const std::vector<FleetJob>& jobs, const FleetOptions& options) {
   TOPIL_REQUIRE(!jobs.empty(), "no fleet jobs");
-  const std::size_t workers = ThreadPool::resolve_jobs(options.jobs);
+  const std::size_t workers = resolve_jobs(options.jobs);
   const std::vector<std::pair<std::size_t, std::size_t>> chunks =
       partition_jobs(jobs.size(), options.batch, workers);
 

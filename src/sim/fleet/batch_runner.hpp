@@ -46,7 +46,7 @@ std::vector<std::pair<std::size_t, std::size_t>> partition_jobs(
 /// Run every job and return results in input order — each element equal in
 /// every field to what `run_experiment` returns for the same job (fleet
 /// lanes are bit-identical to scalar runs; DESIGN.md §10). Jobs are cut by
-/// `partition_jobs` over `ThreadPool::resolve_jobs(options.jobs)` workers;
+/// `partition_jobs` over `resolve_jobs(options.jobs)` workers;
 /// each chunk is driven through one FleetEngine with a shared inference
 /// aggregator flushed once per lockstep tick. Only the chunk layout
 /// depends on the worker count, never a lane's result.

@@ -10,9 +10,10 @@
 # digests), replay the pinned corpus through the fleet engine against the
 # golden digests (plus the benchmark's fleet check and a perf_fleet smoke
 # run), run the governor-server gate
-# (protocol corruption fuzz under the sanitizer build, a perf_server soak
-# smoke, the benchmark's serve check, and a kill -9 + --resume
-# digest-parity check on topil_serve), and
+# (protocol corruption fuzz under the sanitizer build, a topil_stress soak
+# smoke whose retire digests must match solo reference rollouts, the
+# benchmark's serve check, and a kill -9 + --resume digest-parity check on
+# topil_serve), and
 # record the integrator perf gate (Heun vs exponential) plus the
 # dense-kernel perf gate (perf_infer: production inference and training
 # kernels vs scalar reference) into the build dir. A default run modifies
@@ -40,7 +41,8 @@
 #   FLEET           0 to skip the fleet determinism gate (corpus replay,
 #                   benchmark fleet check, perf smoke) (default: 1)
 #   SERVER          0 to skip the governor-server gate (protocol fuzz
-#                   under the sanitizer build, perf_server --smoke, the
+#                   under the sanitizer build, the topil_stress soak smoke
+#                   and its served-vs-reference digest diff, the
 #                   benchmark's serve check, and a kill -9 + --resume
 #                   digest-parity check on topil_serve) (default: 1)
 #   PERF_OUT        path for the integrator perf record (default:
@@ -264,13 +266,33 @@ if [[ "${SERVER:-1}" != "0" ]]; then
   UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
     "${server_test}" --gtest_filter='Protocol.*:ProtocolFuzz.*'
 
-  echo "== server soak smoke (perf_server --smoke)"
+  echo "== server soak smoke (topil_stress, served vs reference digests)"
   # Small multi-tenant soak: real shards, real wire frames, invariant
-  # checker on. perf_server exits non-zero on any violation, protocol
-  # error, missing retirement, or action undercount, so --smoke doubles as
-  # a correctness gate; the full BENCH_server.json soak is manual.
-  "${build_dir}/bench/perf_server" --smoke --jobs "${jobs}" \
-    --json "${build_dir}/BENCH_server_smoke.json"
+  # checker on. topil_stress exits non-zero on any violation, protocol
+  # error, missing retirement, or a device whose action frames differ
+  # from its retire record's count, so the smoke doubles as a correctness
+  # gate; the full BENCH_server.json soak is manual. The same population
+  # rolled out solo (--reference) must give the same retire digests: the
+  # cross-tenant NPU batching identity gate.
+  stress_tmp="${build_dir}/stress-gate"
+  rm -rf "${stress_tmp}"
+  mkdir -p "${stress_tmp}"
+  stress="${build_dir}/tools/topil_stress"
+  stress_args=(--devices 48 --clients 6 --duration 2 --epoch-ticks 25)
+  "${stress}" "${stress_args[@]}" --validate \
+    --shards "$(( jobs > 4 ? jobs : 4 ))" \
+    --json "${build_dir}/BENCH_server_smoke.json" \
+    --digest-out "${stress_tmp}/digests-served"
+  "${stress}" "${stress_args[@]}" --reference \
+    --digest-out "${stress_tmp}/digests-reference"
+  if ! diff "${stress_tmp}/digests-served" \
+            "${stress_tmp}/digests-reference"; then
+    echo "server soak smoke FAILED: served digests differ from solo" \
+         "reference rollouts" >&2
+    exit 1
+  fi
+  echo "server soak smoke OK:" \
+       "$(wc -l < "${stress_tmp}/digests-served") devices match reference"
 
   echo "== server benchmark check (perfbench serve, TCP, durable 2 shards)"
   # The serve workload registers 256-device cohorts over TCP with a

@@ -1,16 +1,17 @@
 // Governor-as-a-service daemon (DESIGN.md §14).
 //
-//   topil_serve --port 0 --port-file /tmp/port             # TCP service
-//   topil_serve --seed-devices 12 --drain                  # self-driven CI run
-//   topil_serve --state-dir D --resume --drain \
-//               --dump-digests resumed.txt                 # crash recovery
+//   topil_serve --port 0 --port-file /tmp/port   # TCP service
+//   topil_serve --seed-devices 12 --drain        # self-driven CI run
+//   topil_serve --state-dir D --resume --drain --dump-digests resumed.txt
+//                                                # crash recovery
 //
 // Devices register over the wire protocol and are sharded by
 // device_id % nshards; each shard steps its fleet in lockstep with one
 // cross-tenant NPU batch per tick. With --state-dir, registrations and
 // retirements are WAL'd and periodic checkpoints make a kill -9 fully
 // recoverable: --resume rebuilds the fleet and finishes every live device
-// bit-identically. Exit status: 0 = clean, 2 = usage.
+// bit-identically. Exit status: 0 = clean, 1 = invariant violations or
+// errors, 2 = usage.
 
 #include <chrono>
 #include <csignal>
@@ -46,7 +47,8 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
   std::printf(
       "usage: %s [options]\n"
-      "  --port P            listen on 127.0.0.1:P (0 = ephemeral)\n"
+      "  --port P            listen on 127.0.0.1:P (0 = ephemeral,\n"
+      "                      at most 65535)\n"
       "  --port-file F       write the bound port number to F\n"
       "  --shards N          shard count            (default: 4)\n"
       "  --policy-seed S     served policy-net seed (default: 1)\n"
@@ -78,8 +80,7 @@ Options parse_args(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--port") {
-        opt.server.tcp_port = static_cast<std::uint16_t>(
-            std::stoul(value(i)));
+        opt.server.tcp_port = parse_port(value(i));
         opt.port_given = true;
       } else if (arg == "--port-file") {
         opt.port_file = value(i);

@@ -1,20 +1,27 @@
 // Stress/soak harness for the governor service (DESIGN.md §14).
 //
-//   topil_stress --devices 64 --clients 8              # in-process soak
-//   topil_stress --connect 127.0.0.1:PORT --devices 64 # against topil_serve
-//   topil_stress --reference --devices 64 \
-//                --digest-out golden.txt               # solo-rollout oracle
+//   topil_stress --devices 64 --clients 8               # in-process soak
+//   topil_stress --connect 127.0.0.1:PORT --devices 64  # against topil_serve
+//   topil_stress --reference --devices 64 --digest-out golden.txt
+//                                                       # solo rollouts
+//   topil_stress --devices 1000 --duration 31 --seed 4242 --validate --json F
+//                                                       # BENCH_server.json
 //
 // Spins N synthetic client threads, each multiplexing its share of the
 // device population over one connection: register, consume the action
 // stream (latency = client receive stamp minus server send stamp, both
 // CLOCK_MONOTONIC), collect the retire digest. The same device population
-// is reproducible from (--seed, device_id) alone, so --reference produces
-// the golden digests a served run must match bit-for-bit — the
-// cross-tenant NPU batching identity gate.
+// is reproducible from (--seed, device_id) alone, so --reference writes
+// the digests a served run must match bit-for-bit; diffing the two
+// --digest-out files is the cross-tenant NPU batching identity gate.
 //
-// Exit status: 0 = clean, 1 = failures (violations, errors, digest
-// mismatches against --expect), 2 = usage.
+// --json records devices/s, device-ticks/s (the retire records' ticks over
+// the wall time) and the p50/p99 action latency, with the shard count as
+// `jobs`.
+//
+// Exit status: 0 = clean, 1 = failures (invariant violations, server
+// errors, missing retirements, a retired device that received fewer or
+// more action frames than its retire record counts), 2 = usage.
 
 #include <algorithm>
 #include <atomic>
@@ -29,8 +36,10 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel_for.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
+#include "support/bench_support.hpp"
 
 namespace {
 
@@ -48,9 +57,11 @@ struct Options {
   double instruction_scale = 1.5;
   std::size_t shards = 4;
   bool validate = false;
-  std::string connect;  ///< empty = in-process server
+  std::string connect_host;  ///< empty = in-process server
+  std::uint16_t connect_port = 0;
   std::string state_dir;
   std::string digest_out;
+  std::string json_path;
   bool reference = false;
   /// Deregister each device after this many actions instead of waiting for
   /// retirement (0 = run to retirement; digests need retirement).
@@ -67,12 +78,14 @@ struct Options {
       "  --epoch-ticks T     action epoch cadence       (default: 50)\n"
       "  --duration X        simulated horizon per device (default: 4)\n"
       "  --num-apps N        apps per device            (default: 3)\n"
-      "  --shards N          shards (in-process server) (default: 4)\n"
+      "  --shards N          shards (in-process server; the --json\n"
+      "                      records' jobs)             (default: 4)\n"
       "  --validate          invariant checker on every device\n"
       "  --connect H:P       use a remote topil_serve over TCP instead of\n"
-      "                      an in-process server\n"
+      "                      an in-process server (P at most 65535)\n"
       "  --state-dir D       durability root for the in-process server\n"
       "  --digest-out F      write per-device retire digests to F\n"
+      "  --json F            write throughput and latency records to F\n"
       "  --reference         no server: solo reference rollouts (golden\n"
       "                      digests for the bit-identity gate)\n"
       "  --deregister-after K  deregister each device after K actions\n"
@@ -110,11 +123,17 @@ Options parse_args(int argc, char** argv) {
       } else if (arg == "--validate") {
         opt.validate = true;
       } else if (arg == "--connect") {
-        opt.connect = value(i);
+        const std::string target = value(i);
+        const auto colon = target.rfind(':');
+        if (colon == std::string::npos || colon == 0) usage(argv[0]);
+        opt.connect_host = target.substr(0, colon);
+        opt.connect_port = parse_port(target.substr(colon + 1));
       } else if (arg == "--state-dir") {
         opt.state_dir = value(i);
       } else if (arg == "--digest-out") {
         opt.digest_out = value(i);
+      } else if (arg == "--json") {
+        opt.json_path = value(i);
       } else if (arg == "--reference") {
         opt.reference = true;
       } else if (arg == "--deregister-after") {
@@ -133,11 +152,12 @@ Options parse_args(int argc, char** argv) {
     usage(argv[0]);
   }
   if (opt.devices == 0 || opt.clients == 0) usage(argv[0]);
-  if (opt.reference && !opt.connect.empty()) {
+  if (opt.reference &&
+      (!opt.connect_host.empty() || !opt.json_path.empty())) {
     std::fprintf(stderr,
                  "--reference runs solo rollouts without a server and "
-                 "cannot be combined with --connect; run each mode "
-                 "separately and diff their --digest-out files\n");
+                 "cannot be combined with --connect or --json; run each "
+                 "mode separately and diff their --digest-out files\n");
     usage(argv[0]);
   }
   opt.clients = std::min(opt.clients, opt.devices);
@@ -204,14 +224,24 @@ void client_thread(const Options& opt, std::size_t client_index,
           latency_us.push_back(
               static_cast<double>(ev.recv_ns - ev.action.sent_ns) / 1e3);
           const std::uint64_t id = ev.action.device_id;
-          if (opt.deregister_after > 0 &&
-              ++action_count[id] == opt.deregister_after) {
+          if (++action_count[id] == opt.deregister_after) {
             client.deregister_device(id);
             --open;  // no retire frame will come
           }
           break;
         }
         case MsgType::kRetire: {
+          const std::uint64_t received = action_count[ev.retire.device_id];
+          if (received != ev.retire.actions) {
+            std::fprintf(stderr,
+                         "client %zu: device %llu received %llu action "
+                         "frames, its retire record counts %llu\n",
+                         client_index,
+                         static_cast<unsigned long long>(ev.retire.device_id),
+                         static_cast<unsigned long long>(received),
+                         static_cast<unsigned long long>(ev.retire.actions));
+            ++errors;
+          }
           DeviceResult r;
           r.device_id = ev.retire.device_id;
           r.summary.digest = ev.retire.digest;
@@ -267,23 +297,12 @@ void write_digests(const std::string& path,
 int run_reference(const Options& opt) {
   const DeviceScenarioOptions dopts = device_options(opt);
   std::vector<DeviceResult> results(opt.devices);
-  std::vector<std::thread> workers;
-  std::atomic<std::uint64_t> next{0};
-  const std::size_t nthreads =
-      std::min<std::size_t>(opt.clients, opt.devices);
-  for (std::size_t t = 0; t < nthreads; ++t) {
-    workers.emplace_back([&] {
-      for (;;) {
-        const std::uint64_t id = next.fetch_add(1);
-        if (id >= opt.devices) return;
-        const auto spec = make_device_scenario(opt.seed, id, dopts);
-        results[id].device_id = id;
-        results[id].summary = run_reference_device(
-            spec, id, opt.policy_seed, opt.epoch_ticks);
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
+  parallel_for_indexed(opt.devices, opt.clients, [&](std::size_t id) {
+    const auto spec = make_device_scenario(opt.seed, id, dopts);
+    results[id].device_id = id;
+    results[id].summary =
+        run_reference_device(spec, id, opt.policy_seed, opt.epoch_ticks);
+  });
   std::printf("reference: %zu devices rolled out\n", opt.devices);
   if (!opt.digest_out.empty()) write_digests(opt.digest_out, results);
   return 0;
@@ -291,7 +310,7 @@ int run_reference(const Options& opt) {
 
 int run_stress(const Options& opt) {
   std::unique_ptr<GovernorServer> server;
-  if (opt.connect.empty()) {
+  if (opt.connect_host.empty()) {
     ServerConfig sc;
     sc.nshards = opt.shards;
     sc.policy_seed = opt.policy_seed;
@@ -304,12 +323,7 @@ int run_stress(const Options& opt) {
 
   const auto connect = [&]() -> std::unique_ptr<ByteStream> {
     if (server) return server->connect_local();
-    const auto colon = opt.connect.rfind(':');
-    TOPIL_REQUIRE(colon != std::string::npos,
-                  "--connect expects HOST:PORT, got '" + opt.connect + "'");
-    return connect_tcp(opt.connect.substr(0, colon),
-                       static_cast<std::uint16_t>(
-                           std::stoul(opt.connect.substr(colon + 1))));
+    return connect_tcp(opt.connect_host, opt.connect_port);
   };
 
   Collected collected;
@@ -344,16 +358,23 @@ int run_stress(const Options& opt) {
   const double p50 = percentile(collected.latency_us, 0.50);
   const double p99 = percentile(collected.latency_us, 0.99);
   const std::size_t done = collected.retired.size();
+  std::uint64_t device_ticks = 0;
+  for (const DeviceResult& r : collected.retired) {
+    device_ticks += r.summary.ticks;
+  }
+  const double devices_per_s = static_cast<double>(done) / wall_s;
+  const double device_ticks_per_s = static_cast<double>(device_ticks) / wall_s;
   std::printf(
       "stress: %zu devices, %zu clients, wall %.2f s\n"
-      "  retired=%zu actions=%llu devices/s=%.1f actions/s=%.0f\n"
+      "  retired=%zu actions=%llu devices/s=%.1f actions/s=%.0f "
+      "device-ticks/s=%.0f\n"
       "  action latency p50=%.1f us p99=%.1f us\n"
       "  server: fleet_ticks=%llu npu_rows=%llu npu_calls=%llu "
       "violations=%llu\n",
       opt.devices, opt.clients, wall_s, done,
       static_cast<unsigned long long>(collected.actions.load()),
-      static_cast<double>(done) / wall_s,
-      static_cast<double>(collected.actions.load()) / wall_s, p50, p99,
+      devices_per_s, static_cast<double>(collected.actions.load()) / wall_s,
+      device_ticks_per_s, p50, p99,
       static_cast<unsigned long long>(stats.fleet_ticks),
       static_cast<unsigned long long>(stats.npu_rows),
       static_cast<unsigned long long>(stats.npu_device_calls),
@@ -361,6 +382,18 @@ int run_stress(const Options& opt) {
 
   if (!opt.digest_out.empty()) {
     write_digests(opt.digest_out, collected.retired);
+  }
+  if (!opt.json_path.empty()) {
+    bench::BenchJsonWriter json(opt.json_path);
+    const double wall_ms = wall_s * 1e3;
+    json.add_rate("server_soak_devices", wall_ms, opt.shards, 1.0,
+                  devices_per_s);
+    json.add_rate("server_soak_device_ticks", wall_ms, opt.shards, 1.0,
+                  device_ticks_per_s);
+    json.add_rate("server_soak_latency_p50_us", p50 / 1e3, opt.shards, 1.0,
+                  p50);
+    json.add_rate("server_soak_latency_p99_us", p99 / 1e3, opt.shards, 1.0,
+                  p99);
   }
 
   bool failed = collected.errors.load() > 0;
