@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "platform/floorplan.hpp"
+
 namespace topil {
 
 /// Generic lumped-parameter (compact) thermal RC network.
@@ -15,16 +17,33 @@ namespace topil {
 /// integration with automatic sub-stepping are both simple and fast.
 class RCNetwork {
  public:
+  /// What a network is assembled from: capacitances, ambient conductances
+  /// and the conductances in the order they were added. Bit-identical
+  /// inputs assemble bit-identical matrices, so a cache can key on these
+  /// O(n + e) values instead of the dense n x n matrix.
+  struct Inputs {
+    std::vector<double> capacitance_j_per_k;
+    std::vector<double> ambient_g_w_per_k;
+    std::vector<ThermalConductance> conductances;
+
+    /// 64-bit mix of every value's exact bit pattern, word by word.
+    std::uint64_t hash() const;
+    /// Exact equality: every value bit for bit, conductances in order.
+    bool identical(const Inputs& other) const;
+  };
+
   /// @param capacitance_j_per_k  heat capacity per node (all > 0)
   /// @param ambient_g_w_per_k    conductance from each node to ambient
   ///                             (0 for internal nodes)
   RCNetwork(std::vector<double> capacitance_j_per_k,
             std::vector<double> ambient_g_w_per_k);
+  /// Same, then `add_conductance` for each of `inputs.conductances`.
+  explicit RCNetwork(Inputs inputs);
 
   /// Add a symmetric conductance between nodes a and b.
   void add_conductance(std::size_t a, std::size_t b, double g_w_per_k);
 
-  std::size_t num_nodes() const { return cap_.size(); }
+  std::size_t num_nodes() const { return inputs_.capacitance_j_per_k.size(); }
   double conductance(std::size_t a, std::size_t b) const;
   double ambient_conductance(std::size_t node) const;
 
@@ -60,23 +79,23 @@ class RCNetwork {
   /// fixed topology stepped N times must report 1, not N).
   std::size_t stable_dt_scan_count() const { return stable_dt_scans_; }
 
-  /// Structural fingerprint over node count, capacitances and conductance
-  /// values (exact bit patterns). Networks with equal hashes can share
-  /// precomputed propagators / factorizations across threads.
-  std::uint64_t structural_hash() const;
+  const Inputs& inputs() const { return inputs_; }
 
   /// Read-only views used by ThermalPropagator / SteadyStateSolver to
   /// assemble the system matrix without re-deriving the topology.
-  const std::vector<double>& capacitances() const { return cap_; }
-  const std::vector<double>& ambient_conductances() const { return g_amb_; }
+  const std::vector<double>& capacitances() const {
+    return inputs_.capacitance_j_per_k;
+  }
+  const std::vector<double>& ambient_conductances() const {
+    return inputs_.ambient_g_w_per_k;
+  }
   /// Dense row-major symmetric conductance matrix; diagonal unused.
   const std::vector<double>& conductance_matrix() const { return g_; }
   /// Laplacian diagonal: sum_j G_ij + Gamb_i per node.
   const std::vector<double>& laplacian_row_sums() const { return row_sum_; }
 
  private:
-  std::vector<double> cap_;
-  std::vector<double> g_amb_;
+  Inputs inputs_;
   std::vector<double> g_;  ///< dense row-major symmetric matrix, diag unused
   std::vector<double> row_sum_;  ///< sum_j G_ij + Gamb_i (Laplacian diagonal)
   mutable double stable_dt_cache_ = 0.0;

@@ -4,6 +4,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/cpu_dispatch.hpp"
 #include "thermal/rc_network.hpp"
 
 namespace topil {
@@ -30,14 +31,23 @@ enum class ThermalIntegrator { Heun, Exponential };
 /// with A = exp(-C^-1 L dt), B = L^-1 (I - A) (evaluated spectrally, so
 /// L may be singular / floating), and k = B * Gamb. Construction
 /// diagonalizes the scaled-symmetric form M = C^-1/2 L C^-1/2 with a
-/// cyclic Jacobi sweep — the network has tens of nodes, so no external
-/// eigensolver is needed and the cost is paid once per (network, dt).
+/// cyclic Jacobi sweep — the network has at most a few hundred nodes, so
+/// no external eigensolver is needed, and ThermalNetwork pays the cost
+/// once per (network, dt) per process.
 class ThermalPropagator {
  public:
+  /// Builds with the widest instruction-set variant this CPU executes.
   ThermalPropagator(const RCNetwork& network, double dt);
+  /// Builds with the `isa` variant of the vector loops (the CPU must
+  /// support it). Every variant produces the same bits.
+  ThermalPropagator(const RCNetwork& network, double dt, SimdIsa isa);
 
   std::size_t num_nodes() const { return n_; }
   double dt() const { return dt_; }
+  /// The update's n x n matrices (row-major) and ambient drive vector.
+  const std::vector<double>& state_matrix() const { return a_; }
+  const std::vector<double>& input_matrix() const { return b_; }
+  const std::vector<double>& ambient_drive() const { return k_; }
 
   /// Per-caller scratch so `step` allocates nothing in steady state and
   /// one (cached, shared) propagator can serve many threads.
@@ -77,14 +87,9 @@ class ThermalPropagator {
                     const std::vector<double>& ambient_c, std::size_t lanes,
                     BatchWorkspace& ws) const;
 
-  /// Process-wide propagator cache keyed by (structural network hash, dt):
-  /// every simulator/rollout over the same floorplan and tick shares one
-  /// immutable propagator, so oracle sweeps and parallel trace collection
-  /// pay the eigendecomposition once, not once per worker.
-  static std::shared_ptr<const ThermalPropagator> shared(
-      const RCNetwork& network, double dt);
+  /// Number of propagators the networks in ThermalNetwork's process-wide
+  /// cache hold (one per network and dt).
   static std::size_t shared_cache_size();
-  static void clear_shared_cache();  ///< test hook
 
  private:
   std::size_t n_;
@@ -96,6 +101,25 @@ class ThermalPropagator {
   /// bit-exact zero-power-row skip (see propagate_slab in the .cpp).
   bool k_sign_clear_ = false;
 };
+
+namespace detail {
+
+/// Eigenpairs of a symmetric matrix M = V diag(values) V^T.
+struct SymmetricEigen {
+  std::vector<double> values;
+  /// Row k (`stride` doubles apart, zero-padded past n) is the
+  /// eigenvector of values[k]: V transposed.
+  std::vector<double> vectors;
+  std::size_t stride = 0;
+};
+
+/// The cyclic Jacobi eigendecomposition ThermalPropagator runs, with the
+/// `isa` variant of its vector loops. `m` is n x n row-major; only its
+/// lower triangle (j <= i) is read, the upper is taken to mirror it.
+SymmetricEigen jacobi_eigen(const std::vector<double>& m, std::size_t n,
+                            SimdIsa isa);
+
+}  // namespace detail
 
 /// Steady-state solver with a cached LU factorization.
 ///

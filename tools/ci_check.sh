@@ -8,8 +8,8 @@
 # crash-recovery gate (SIGKILL a checkpointed run and a journaled fuzz
 # campaign mid-flight, resume each, and require bit-identical final
 # digests), replay the pinned corpus through the fleet engine against the
-# golden digests (plus the benchmark's fleet check and a perf_fleet smoke
-# run), run the governor-server gate
+# golden digests (plus the benchmark's fleet check, which also bounds its
+# peak RSS, and a perf_fleet smoke run), run the governor-server gate
 # (protocol corruption fuzz under the sanitizer build, a topil_stress soak
 # smoke whose retire digests must match solo reference rollouts, the
 # benchmark's serve check, and a kill -9 + --resume digest-parity check on
@@ -239,8 +239,23 @@ if [[ "${FLEET:-1}" != "0" ]]; then
   # into 43/43/42-lane engines — widths and a floorplan no ctest case
   # runs end to end. It builds its own tree under .bench_build/ in the
   # repo root.
+  fleet_out="${build_dir}/fleet-benchmark.out"
   (cd "${repo_root}" && python3 perfbench/run.py --workload fleet --seed 1 \
-    --seconds 3 --trace 0)
+    --seconds 3 --trace 0) | tee "${fleet_out}"
+  # Its 128 lanes share one 156-node thermal network (about 15 MB peak
+  # RSS). A copy of the network and its steady-state LU per lane costs
+  # about 420 KB each and reads about 64 MB, so it cannot come back
+  # unnoticed.
+  python3 - "${fleet_out}" <<'PY'
+import json
+import sys
+
+last = open(sys.argv[1]).read().splitlines()[-1]
+rss = json.loads(last)["metrics"]["peak_rss_mb"]["value"]
+if rss > 32:
+    sys.exit(f"fleet benchmark check FAILED: peak_rss_mb {rss} > 32")
+print(f"fleet peak RSS OK: {rss} MB (limit 32)")
+PY
 
   echo "== fleet perf smoke"
   # Small fixture: proves the bench binary and both fixtures stay runnable;

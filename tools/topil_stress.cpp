@@ -17,7 +17,8 @@
 //
 // --json records devices/s, device-ticks/s (the retire records' ticks over
 // the wall time) and the p50/p99 action latency, with the shard count as
-// `jobs`.
+// `jobs`. A client cannot learn a remote server's shard count, so with
+// --connect, --json requires --shards: the caller's statement of it.
 //
 // Exit status: 0 = clean, 1 = failures (invariant violations, server
 // errors, missing retirements, a retired device that received fewer or
@@ -56,6 +57,7 @@ struct Options {
   std::size_t num_apps = 3;
   double instruction_scale = 1.5;
   std::size_t shards = 4;
+  bool shards_given = false;  ///< --shards was passed explicitly
   bool validate = false;
   std::string connect_host;  ///< empty = in-process server
   std::uint16_t connect_port = 0;
@@ -80,6 +82,9 @@ struct Options {
       "  --num-apps N        apps per device            (default: 3)\n"
       "  --shards N          shards (in-process server; the --json\n"
       "                      records' jobs)             (default: 4)\n"
+      "                      With --connect it is the caller's statement\n"
+      "                      of the server's shard count, which --json\n"
+      "                      then requires\n"
       "  --validate          invariant checker on every device\n"
       "  --connect H:P       use a remote topil_serve over TCP instead of\n"
       "                      an in-process server (P at most 65535)\n"
@@ -89,8 +94,7 @@ struct Options {
       "  --reference         no server: solo reference rollouts (golden\n"
       "                      digests for the bit-identity gate)\n"
       "  --deregister-after K  deregister each device after K actions\n"
-      "                      (churn mode; suppresses retire digests)\n"
-      "  --smoke             tiny population for CI\n",
+      "                      (churn mode; suppresses retire digests)\n",
       argv0);
   std::exit(2);
 }
@@ -120,6 +124,7 @@ Options parse_args(int argc, char** argv) {
         opt.num_apps = std::stoull(value(i));
       } else if (arg == "--shards") {
         opt.shards = std::stoull(value(i));
+        opt.shards_given = true;
       } else if (arg == "--validate") {
         opt.validate = true;
       } else if (arg == "--connect") {
@@ -138,10 +143,6 @@ Options parse_args(int argc, char** argv) {
         opt.reference = true;
       } else if (arg == "--deregister-after") {
         opt.deregister_after = std::stoull(value(i));
-      } else if (arg == "--smoke") {
-        opt.devices = 12;
-        opt.clients = 3;
-        opt.duration_s = 2.0;
       } else {
         usage(argv[0]);
       }
@@ -158,6 +159,13 @@ Options parse_args(int argc, char** argv) {
                  "--reference runs solo rollouts without a server and "
                  "cannot be combined with --connect or --json; run each "
                  "mode separately and diff their --digest-out files\n");
+    usage(argv[0]);
+  }
+  if (!opt.connect_host.empty() && !opt.json_path.empty() &&
+      !opt.shards_given) {
+    std::fprintf(stderr,
+                 "--json with --connect records the server's shard count, "
+                 "which a client cannot learn: pass it as --shards\n");
     usage(argv[0]);
   }
   opt.clients = std::min(opt.clients, opt.devices);
