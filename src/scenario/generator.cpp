@@ -9,7 +9,9 @@
 #include "common/rng.hpp"
 #include "platform/floorplan.hpp"
 #include "power/power_model.hpp"
+#include "thermal/rc_network.hpp"
 #include "thermal/thermal_model.hpp"
+#include "thermal/thermal_propagator.hpp"
 #include "workloads/generator.hpp"
 
 namespace topil::scenario {
@@ -155,10 +157,13 @@ void finalize_durations(ScenarioSpec& spec, const MaterializedScenario& m,
 bool passes_thermal_guards(const ScenarioSpec& spec,
                            const MaterializedScenario& m,
                            const GeneratorConfig& config) {
+  // The candidate's own network and LU, freed on return: a candidate is
+  // checked once, and the process-wide ThermalNetwork cache is for the
+  // networks that simulations share.
   const Floorplan fp = Floorplan::for_platform(m.platform, m.sim.floorplan);
-  const ThermalModel model(m.platform, fp, m.cooling);
+  const RCNetwork network(ThermalModel::network_inputs(fp, m.cooling));
 
-  const double stable_dt = model.network().max_stable_dt();
+  const double stable_dt = network.max_stable_dt();
   if (spec.tick_s >
       stable_dt * static_cast<double>(config.max_substeps_per_tick)) {
     return false;
@@ -177,7 +182,10 @@ bool passes_thermal_guards(const ScenarioSpec& spec,
                                   config.max_steady_temp_c);
   const PowerBreakdown breakdown =
       power.compute(levels, activity, temps, spec.npu);
-  const std::vector<double> steady = model.steady_state(breakdown);
+  std::vector<double> node_power;
+  ThermalModel::node_power_into(m.platform, fp, breakdown, node_power);
+  const std::vector<double> steady =
+      SteadyStateSolver(network).solve(node_power, m.cooling.ambient_c);
   const double hottest = *std::max_element(steady.begin(), steady.end());
   return hottest <= config.max_steady_temp_c;
 }
