@@ -6,17 +6,6 @@
 
 #include "common/error.hpp"
 
-// Per-CPU clones of every kernel below; the loader picks one at startup.
-#if defined(__x86_64__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define TOPIL_SIMD_CLONES \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-#endif
-#ifndef TOPIL_SIMD_CLONES
-#define TOPIL_SIMD_CLONES
-#endif
-
 namespace topil::nn {
 namespace {
 
@@ -169,6 +158,7 @@ struct AdamBlock {
   float* m;
   float* v;
   const AdamCoefficients& c;
+  std::size_t width;  ///< the parameter count
 
   template <std::size_t kJBlock>
   [[gnu::always_inline]] void run(std::size_t j0) const {
@@ -201,69 +191,73 @@ struct AdamBlock {
   }
 };
 
-TOPIL_SIMD_CLONES
-void rows_dispatch(const RowsBlock& block) {
-  for_each_jblock(block.width, block);
-}
+/// A block swept over its `width` outputs: the kernel run_simd compiles
+/// once per instruction-set variant, each vectorizing at its own register
+/// width.
+template <typename Block>
+struct Sweep {
+  Block block;
 
-TOPIL_SIMD_CLONES
-void weight_grad_dispatch(const WeightGradBlock& block) {
-  for_each_jblock(block.width, block);
-}
-
-TOPIL_SIMD_CLONES
-void adam_dispatch(const AdamBlock& block, std::size_t n) {
-  for_each_jblock(n, block);
-}
+  template <SimdIsa>
+  [[gnu::always_inline]] void run() const {
+    for_each_jblock(block.width, block);
+  }
+};
 
 }  // namespace
 
 void dense_forward_simd(const float* x, std::size_t rows, std::size_t in,
                         const float* w, const float* bias,
-                        std::size_t out_cols, float* out, bool relu) {
+                        std::size_t out_cols, float* out, bool relu,
+                        SimdIsa isa) {
   TOPIL_REQUIRE(rows > 0, "dense_forward_simd: empty batch");
   TOPIL_REQUIRE(in > 0 && out_cols > 0, "dense_forward_simd: empty layer");
-  rows_dispatch({.x = x,
-                 .rows = rows,
-                 .depth = in,
-                 .w = w,
-                 .width = out_cols,
-                 .bias = bias,
-                 .relu = relu,
-                 .out = out});
+  run_simd(Sweep{RowsBlock{.x = x,
+                           .rows = rows,
+                           .depth = in,
+                           .w = w,
+                           .width = out_cols,
+                           .bias = bias,
+                           .relu = relu,
+                           .out = out}},
+           isa);
 }
 
 void dense_input_grad_simd(const float* dy, std::size_t rows,
                            std::size_t out_cols, const float* w_t,
-                           const float* relu_out, std::size_t in, float* dx) {
+                           const float* relu_out, std::size_t in, float* dx,
+                           SimdIsa isa) {
   TOPIL_REQUIRE(rows > 0, "dense_input_grad_simd: empty batch");
   TOPIL_REQUIRE(in > 0 && out_cols > 0, "dense_input_grad_simd: empty layer");
-  rows_dispatch({.x = dy,
-                 .rows = rows,
-                 .depth = out_cols,
-                 .w = w_t,
-                 .width = in,
-                 .mask = relu_out,
-                 .out = dx});
+  run_simd(Sweep{RowsBlock{.x = dy,
+                           .rows = rows,
+                           .depth = out_cols,
+                           .w = w_t,
+                           .width = in,
+                           .mask = relu_out,
+                           .out = dx}},
+           isa);
 }
 
 void dense_weight_grad_simd(const float* x, std::size_t rows, std::size_t in,
                             const float* dy, std::size_t out_cols, float* dw,
-                            float* db) {
+                            float* db, SimdIsa isa) {
   TOPIL_REQUIRE(rows > 0, "dense_weight_grad_simd: empty batch");
   TOPIL_REQUIRE(in > 0 && out_cols > 0, "dense_weight_grad_simd: empty layer");
-  weight_grad_dispatch({.x = x,
-                        .rows = rows,
-                        .in = in,
-                        .dy = dy,
-                        .width = out_cols,
-                        .dw = dw,
-                        .db = db});
+  run_simd(Sweep{WeightGradBlock{.x = x,
+                                 .rows = rows,
+                                 .in = in,
+                                 .dy = dy,
+                                 .width = out_cols,
+                                 .dw = dw,
+                                 .db = db}},
+           isa);
 }
 
 void adam_update_simd(float* param, const float* grad, float* m, float* v,
-                      std::size_t n, const AdamCoefficients& c) {
-  adam_dispatch({param, grad, m, v, c}, n);
+                      std::size_t n, const AdamCoefficients& c,
+                      SimdIsa isa) {
+  run_simd(Sweep{AdamBlock{param, grad, m, v, c, n}}, isa);
 }
 
 }  // namespace topil::nn

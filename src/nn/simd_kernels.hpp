@@ -2,16 +2,21 @@
 
 #include <cstddef>
 
+#include "common/cpu_dispatch.hpp"
+
 namespace topil::nn {
 
 // The dense-layer kernels: every dense computation in production runs
 // through them, inference and training alike (DenseLayer, Adam). Each is
-// cloned per CPU (AVX-512, AVX2, baseline) and vectorizes over a block of
-// contiguous output elements, while every output element runs exactly the
+// compiled as one variant per SimdIsa (baseline, avx2, avx512f) that
+// vectorizes over a block of contiguous output elements at that level's
+// register width; `isa` names the variant, by default the widest this CPU
+// runs (common/cpu_dispatch.hpp). Every output element runs exactly the
 // operation sequence of its scalar reference (nn::dense_forward_reference,
 // nn::dense_backward_reference, nn::ReferenceTraining's Adam). With
 // -ffp-contract=off (repo-wide) no FMA fusion can reassociate, so results
-// are bit-identical across the reference and every clone (DESIGN.md §12).
+// are bit-identical across the reference and every variant (DESIGN.md
+// §12).
 
 /// Fused dense-layer forward pass: out = x * w + bias, optional ReLU.
 ///
@@ -27,7 +32,8 @@ namespace topil::nn {
 /// v = acc + bias; if relu and v < 0.0f then 0.0f.
 void dense_forward_simd(const float* x, std::size_t rows, std::size_t in,
                         const float* w, const float* bias,
-                        std::size_t out_cols, float* out, bool relu);
+                        std::size_t out_cols, float* out, bool relu,
+                        SimdIsa isa = widest_simd_isa());
 
 /// Input gradient of a hidden dense layer, taken through the ReLU that
 /// produced its input: dx = dy * W^T, and 0.0f wherever that input <= 0.
@@ -41,7 +47,8 @@ void dense_forward_simd(const float* x, std::size_t rows, std::size_t in,
 /// dx = (relu_out <= 0.0f) ? 0.0f : acc.
 void dense_input_grad_simd(const float* dy, std::size_t rows,
                            std::size_t out_cols, const float* w_t,
-                           const float* relu_out, std::size_t in, float* dx);
+                           const float* relu_out, std::size_t in, float* dx,
+                           SimdIsa isa = widest_simd_isa());
 
 /// Parameter gradients of a dense layer, accumulated: dw += x^T * dy and
 /// db += column sums of dy.
@@ -53,7 +60,7 @@ void dense_input_grad_simd(const float* dy, std::size_t rows,
 /// for k ascending.
 void dense_weight_grad_simd(const float* x, std::size_t rows, std::size_t in,
                             const float* dy, std::size_t out_cols, float* dw,
-                            float* db);
+                            float* db, SimdIsa isa = widest_simd_isa());
 
 /// Scalars of one Adam step; bias_correction<i> = 1 - beta<i>^t.
 struct AdamCoefficients {
@@ -70,6 +77,7 @@ struct AdamCoefficients {
 /// (1-beta2)*g*g, each stored as float; then
 /// param -= float(lr * (m / bc1) / (sqrt(v / bc2) + epsilon)).
 void adam_update_simd(float* param, const float* grad, float* m, float* v,
-                      std::size_t n, const AdamCoefficients& c);
+                      std::size_t n, const AdamCoefficients& c,
+                      SimdIsa isa = widest_simd_isa());
 
 }  // namespace topil::nn

@@ -79,10 +79,12 @@ PowerBreakdown PowerModel::compute(const std::vector<std::size_t>& vf_levels,
   return out;
 }
 
-void PowerModel::compute_into(const std::vector<std::size_t>& vf_levels,
-                              const std::vector<double>& core_activity,
-                              const std::vector<double>& core_temp_c,
-                              bool npu_active, PowerBreakdown& out) const {
+// Hot entry: 64-byte aligned (tools/hot_symbols.sh).
+__attribute__((aligned(64))) void PowerModel::compute_into(
+    const std::vector<std::size_t>& vf_levels,
+    const std::vector<double>& core_activity,
+    const std::vector<double>& core_temp_c, bool npu_active,
+    PowerBreakdown& out) const {
   TOPIL_REQUIRE(vf_levels.size() == clusters_.size(),
                 "one VF level per cluster required");
   TOPIL_REQUIRE(core_activity.size() == platform_->num_cores(),

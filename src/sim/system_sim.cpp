@@ -177,7 +177,8 @@ void SystemSim::retire_finished() {
   }
 }
 
-void SystemSim::tick_begin() {
+// Hot entry: 64-byte aligned (tools/hot_symbols.sh).
+__attribute__((aligned(64))) void SystemSim::tick_begin() {
   const double dt = config_.tick_s;
   const double t_end = now_ + dt;
   const std::size_t num_cores = platform_->num_cores();
@@ -247,7 +248,8 @@ void SystemSim::tick_begin() {
                             last_power_);
 }
 
-void SystemSim::tick_finish() {
+// Hot entry: 64-byte aligned (tools/hot_symbols.sh).
+__attribute__((aligned(64))) void SystemSim::tick_finish() {
   const double dt = config_.tick_s;
 
   // 4. DTM and sensor observe the new state.

@@ -38,8 +38,9 @@ class ThermalPropagator {
  public:
   /// Builds with the widest instruction-set variant this CPU executes.
   ThermalPropagator(const RCNetwork& network, double dt);
-  /// Builds with the `isa` variant of the vector loops (the CPU must
-  /// support it). Every variant produces the same bits.
+  /// Builds, and later steps batches, with the `isa` variant of the vector
+  /// kernels (the CPU must support it). Every variant produces the same
+  /// bits.
   ThermalPropagator(const RCNetwork& network, double dt, SimdIsa isa);
 
   std::size_t num_nodes() const { return n_; }
@@ -79,9 +80,10 @@ class ThermalPropagator {
   /// order is exactly the scalar `step` order (`amb * k_i`, then `a_ij *
   /// T_j + b_ij * P_j` for ascending j), so with FP contraction disabled
   /// every lane's result is bit-identical to stepping it alone; the lane
-  /// axis is what vectorizes, 8 lanes per vector, with the last `lanes % 8`
-  /// lanes stepped in a zero-padded vector. The fleet engine relies on this
-  /// for its scalar-vs-batched digest guarantee (DESIGN.md §10).
+  /// axis is what vectorizes, in blocks of 8 lanes at the variant's
+  /// register width, with the last `lanes % 8` lanes stepped in a
+  /// zero-padded block. The fleet engine relies on this for its
+  /// scalar-vs-batched digest guarantee (DESIGN.md §10).
   void step_batched(std::vector<double>& temps_c,
                     const std::vector<double>& power_w,
                     const std::vector<double>& ambient_c, std::size_t lanes,
@@ -98,8 +100,9 @@ class ThermalPropagator {
   std::vector<double> b_;  ///< n x n input (power) propagator
   std::vector<double> k_;  ///< B * Gamb — the ambient drive vector
   /// No k_ entry carries a sign bit — precondition for step_batched's
-  /// bit-exact zero-power-row skip (see propagate_slab in the .cpp).
+  /// bit-exact zero-power-row skip (see PropagateSlab in the .cpp).
   bool k_sign_clear_ = false;
+  SimdIsa isa_;  ///< the variant step_batched runs
 };
 
 namespace detail {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/simd_isas.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "nn/mlp.hpp"
@@ -39,13 +40,15 @@ TEST(DenseForwardSimd, BitIdenticalToReferenceOverRaggedShapes) {
     std::vector<float> bt;
     dense_forward_reference(x, w, bias, want, bt, relu);
 
-    Matrix got(rows, out_cols);
-    dense_forward_simd(x.data(), rows, in, w.data(), bias.data(), out_cols,
-                       got.data(), relu);
-    expect_bits_equal(got, want,
-                      "shape " + std::to_string(rows) + "x" +
-                          std::to_string(in) + "x" +
-                          std::to_string(out_cols));
+    for (const SimdIsa isa : executable_isas()) {
+      Matrix got(rows, out_cols);
+      dense_forward_simd(x.data(), rows, in, w.data(), bias.data(), out_cols,
+                         got.data(), relu, isa);
+      expect_bits_equal(got, want,
+                        isa_name(isa) + ", shape " + std::to_string(rows) +
+                            "x" + std::to_string(in) + "x" +
+                            std::to_string(out_cols));
+    }
   }
 }
 
@@ -80,10 +83,13 @@ TEST(DenseForwardSimd, AdversarialValuesMatchBitwise) {
     Matrix want;
     std::vector<float> bt;
     dense_forward_reference(x, w, bias, want, bt, relu);
-    Matrix got(rows, out_cols);
-    dense_forward_simd(x.data(), rows, in, w.data(), bias.data(), out_cols,
-                       got.data(), relu);
-    expect_bits_equal(got, want, relu ? "relu" : "linear");
+    for (const SimdIsa isa : executable_isas()) {
+      Matrix got(rows, out_cols);
+      dense_forward_simd(x.data(), rows, in, w.data(), bias.data(), out_cols,
+                         got.data(), relu, isa);
+      expect_bits_equal(got, want,
+                        isa_name(isa) + (relu ? ", relu" : ", linear"));
+    }
   }
 }
 

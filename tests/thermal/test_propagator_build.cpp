@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "common/cpu_dispatch.hpp"
+#include "../common/simd_isas.hpp"
 #include "platform/floorplan.hpp"
 #include "thermal/rc_network.hpp"
 #include "thermal/thermal_model.hpp"
@@ -150,24 +150,6 @@ ReferenceUpdate reference_update(const RCNetwork& network,
     out.k[i] = acc;
   }
   return out;
-}
-
-std::vector<SimdIsa> executable_isas() {
-  std::vector<SimdIsa> isas;
-  for (const SimdIsa isa : {SimdIsa::Baseline, SimdIsa::Avx2}) {
-    if (cpu_supports(isa)) isas.push_back(isa);
-  }
-  return isas;
-}
-
-const char* isa_name(SimdIsa isa) {
-  switch (isa) {
-    case SimdIsa::Avx2:
-      return "avx2";
-    case SimdIsa::Baseline:
-      return "baseline";
-  }
-  return "?";
 }
 
 /// Index of the first element whose bits differ, or -1.

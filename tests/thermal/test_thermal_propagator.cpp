@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "../common/simd_isas.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "platform/floorplan.hpp"
@@ -176,10 +177,11 @@ TEST(ThermalPropagator, CacheSharesIdenticalFloorplansMissesOnMutation) {
 
 // step_batched on grid-refined floorplans — wide slabs where most power
 // rows are zero, exactly the layout the fleet engine runs — must match
-// per-lane scalar stepping bit for bit at every width: each register-tile
-// shape (8/16/32/64-lane blocks and their sums), the row remainder when
-// the node count is not a multiple of the tile height (13 and 49 nodes),
-// and the zero-padded tail that steps the last lanes % 8 columns.
+// per-lane scalar stepping bit for bit on every instruction-set variant
+// this CPU runs and at every width: each register-tile shape (8 to 64-lane
+// blocks and their sums), the row remainder when the node count is not a
+// multiple of the tile height (13 and 49 nodes), and the zero-padded tail
+// that steps the last lanes % 8 columns.
 // Adversarial lanes, once in the 8-lane body and once in the tail: a power
 // entry of -0.0 with the kernel's zero-row fast path on, and then also a
 // below-zero ambient, which turns the fast path off. Neither may change a
@@ -196,56 +198,59 @@ TEST(ThermalPropagator, BatchedStepBitIdenticalToScalarOnGridNetwork) {
     const RCNetwork net(
         ThermalModel::network_inputs(fp, CoolingConfig::fan()));
     const std::size_t n = net.num_nodes();
-    const ThermalPropagator prop(net, 0.01);
+    for (const SimdIsa isa : executable_isas()) {
+      const ThermalPropagator prop(net, 0.01, isa);
 
-    Rng rng(2024 + grid);
-    for (const std::size_t lanes :
-         {1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 43, 63, 64, 65, 129}) {
-      std::vector<std::size_t> marked;  // one body lane, one tail lane
-      if (lanes >= 8) marked.push_back(0);
-      if (lanes % 8 != 0) marked.push_back(lanes - 1);
+      Rng rng(2024 + grid);
+      for (const std::size_t lanes :
+           {1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 33, 43, 63, 64, 65, 129}) {
+        std::vector<std::size_t> marked;  // one body lane, one tail lane
+        if (lanes >= 8) marked.push_back(0);
+        if (lanes % 8 != 0) marked.push_back(lanes - 1);
 
-      for (const bool sub_zero_ambient : {false, true}) {
-        std::vector<double> temps(n * lanes);
-        std::vector<double> power(n * lanes, 0.0);
-        std::vector<double> ambient(lanes);
-        for (std::size_t s = 0; s < lanes; ++s) {
-          ambient[s] = rng.uniform(20.0, 30.0);
-          for (std::size_t i = 0; i < n; ++i) {
-            temps[i * lanes + s] = rng.uniform(25.0, 80.0);
+        for (const bool sub_zero_ambient : {false, true}) {
+          std::vector<double> temps(n * lanes);
+          std::vector<double> power(n * lanes, 0.0);
+          std::vector<double> ambient(lanes);
+          for (std::size_t s = 0; s < lanes; ++s) {
+            ambient[s] = rng.uniform(20.0, 30.0);
+            for (std::size_t i = 0; i < n; ++i) {
+              temps[i * lanes + s] = rng.uniform(25.0, 80.0);
+            }
+            // Only heat-input rows carry power, like the fleet slabs.
+            for (const std::size_t node : fp.core_nodes) {
+              power[node * lanes + s] = rng.uniform(0.0, 3.0);
+            }
+            power[fp.npu_node * lanes + s] = rng.uniform(0.0, 2.0);
           }
-          // Only heat-input rows carry power, like the fleet slabs.
-          for (const std::size_t node : fp.core_nodes) {
-            power[node * lanes + s] = rng.uniform(0.0, 3.0);
+          for (const std::size_t s : marked) {
+            power[fp.core_nodes[0] * lanes + s] = -0.0;  // bitwise -0.0
+            if (sub_zero_ambient) ambient[s] = -5.0;
           }
-          power[fp.npu_node * lanes + s] = rng.uniform(0.0, 2.0);
-        }
-        for (const std::size_t s : marked) {
-          power[fp.core_nodes[0] * lanes + s] = -0.0;  // bitwise -0.0
-          if (sub_zero_ambient) ambient[s] = -5.0;
-        }
 
-        std::vector<double> batched = temps;
-        ThermalPropagator::BatchWorkspace bws;
-        for (int t = 0; t < kSteps; ++t) {
-          prop.step_batched(batched, power, ambient, lanes, bws);
-        }
-
-        ThermalPropagator::Workspace ws;
-        for (std::size_t s = 0; s < lanes; ++s) {
-          std::vector<double> lane_t(n);
-          std::vector<double> lane_p(n);
-          for (std::size_t i = 0; i < n; ++i) {
-            lane_t[i] = temps[i * lanes + s];
-            lane_p[i] = power[i * lanes + s];
-          }
+          std::vector<double> batched = temps;
+          ThermalPropagator::BatchWorkspace bws;
           for (int t = 0; t < kSteps; ++t) {
-            prop.step(lane_t, lane_p, ambient[s], ws);
+            prop.step_batched(batched, power, ambient, lanes, bws);
           }
-          for (std::size_t i = 0; i < n; ++i) {
-            ASSERT_EQ(lane_t[i], batched[i * lanes + s])
-                << n << " nodes, width " << lanes << ", sub-zero ambient "
-                << sub_zero_ambient << ", lane " << s << ", node " << i;
+
+          ThermalPropagator::Workspace ws;
+          for (std::size_t s = 0; s < lanes; ++s) {
+            std::vector<double> lane_t(n);
+            std::vector<double> lane_p(n);
+            for (std::size_t i = 0; i < n; ++i) {
+              lane_t[i] = temps[i * lanes + s];
+              lane_p[i] = power[i * lanes + s];
+            }
+            for (int t = 0; t < kSteps; ++t) {
+              prop.step(lane_t, lane_p, ambient[s], ws);
+            }
+            for (std::size_t i = 0; i < n; ++i) {
+              ASSERT_EQ(lane_t[i], batched[i * lanes + s])
+                  << isa_name(isa) << ", " << n << " nodes, width " << lanes
+                  << ", sub-zero ambient " << sub_zero_ambient << ", lane "
+                  << s << ", node " << i;
+            }
           }
         }
       }

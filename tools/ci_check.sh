@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Clean-build CI check: configure a fresh build tree with strict warnings,
 # build everything, run the full test suite, repeat the tier-1 tests under
-# ASan+UBSan in a separate build tree, run the validation/determinism gate
+# ASan+UBSan in a separate build tree, run the threaded suites under TSan in
+# a third, run the validation/determinism gate
 # (invariant-checked golden scenarios + serial-vs-parallel trace digests +
 # the benchmark's design check on concurrent training flows), run a bounded
 # differential-fuzzing campaign under the sanitizer build, run the
@@ -9,7 +10,8 @@
 # campaign mid-flight, resume each, and require bit-identical final
 # digests), replay the pinned corpus through the fleet engine against the
 # golden digests (plus the benchmark's fleet check, which also bounds its
-# peak RSS, and a perf_fleet smoke run), run the governor-server gate
+# peak RSS, the hot-entry alignment check on the benchmark binary, and a
+# perf_fleet smoke run), run the governor-server gate
 # (protocol corruption fuzz under the sanitizer build, a topil_stress soak
 # smoke whose retire digests must match solo reference rollouts, the
 # benchmark's serve check, and a kill -9 + --resume digest-parity check on
@@ -26,7 +28,7 @@
 #
 # Environment:
 #   JOBS            parallel build/test width (default: nproc)
-#   SANITIZE        0 to skip the ASan+UBSan stage (default: 1)
+#   SANITIZE        0 to skip the ASan+UBSan and TSan stages (default: 1)
 #   SANITIZE_DIR    sanitizer build tree (default: <build-dir>-asan)
 #   VALIDATE        0 to skip the validation/determinism gate (default: 1)
 #   FUZZ            0 to skip the bounded fuzz stage (default: 1)
@@ -39,7 +41,8 @@
 #   RECOVERY        0 to skip the crash-recovery (kill -9 + resume) gate
 #                   (default: 1)
 #   FLEET           0 to skip the fleet determinism gate (corpus replay,
-#                   benchmark fleet check, perf smoke) (default: 1)
+#                   benchmark fleet check, hot-entry alignment, perf smoke)
+#                   (default: 1)
 #   SERVER          0 to skip the governor-server gate (protocol fuzz
 #                   under the sanitizer build, the topil_stress soak smoke
 #                   and its served-vs-reference digest diff, the
@@ -85,6 +88,28 @@ if [[ "${SANITIZE:-1}" != "0" ]]; then
   ASAN_OPTIONS="detect_leaks=0:abort_on_error=1" \
   UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
     ctest --test-dir "${asan_dir}" --output-on-failure -j "${jobs}"
+
+  # The threaded suites under ThreadSanitizer: parallel_for and its helper
+  # cache (test_common), fleet workers (test_fleet), the server's shards,
+  # IO thread and clients (test_server), and 32 concurrent first uses of
+  # one thermal network (ThermalNetwork.*). Any report fails the stage.
+  tsan_dir="${build_dir}-tsan"
+  echo "== configure TSan (${tsan_dir})"
+  cmake -B "${tsan_dir}" -S "${repo_root}" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-Wall -Wextra -fsanitize=thread" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+
+  echo "== build TSan (-j ${jobs})"
+  cmake --build "${tsan_dir}" -j "${jobs}" \
+    --target test_common test_fleet test_server test_thermal
+
+  echo "== test under TSan"
+  for suite in test_common test_fleet test_server; do
+    TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/${suite}"
+  done
+  TSAN_OPTIONS="halt_on_error=1" "${tsan_dir}/tests/test_thermal" \
+    --gtest_filter='ThermalNetwork.*'
 fi
 
 if [[ "${FUZZ:-1}" != "0" ]]; then
@@ -256,6 +281,18 @@ if rss > 32:
     sys.exit(f"fleet benchmark check FAILED: peak_rss_mb {rss} > 32")
 print(f"fleet peak RSS OK: {rss} MB (limit 32)")
 PY
+
+  echo "== hot entry alignment (tools/hot_symbols.sh on topil_perfbench)"
+  # Every vector kernel variant, step_batched, the simulator tick and
+  # PowerModel::compute_into is declared aligned(64), so code linked ahead
+  # of them cannot move their loops, and so the fleet benchmark.
+  hot="$("${repo_root}/tools/hot_symbols.sh" \
+    "${repo_root}/.bench_build/cmake/topil_perfbench")"
+  echo "${hot}"
+  if [[ -z "${hot}" ]] || grep -qv '^ 0  ' <<< "${hot}"; then
+    echo "hot entry alignment FAILED: an entry is not at offset 0 mod 64" >&2
+    exit 1
+  fi
 
   echo "== fleet perf smoke"
   # Small fixture: proves the bench binary and both fixtures stay runnable;
