@@ -1,7 +1,8 @@
 #include "server/client.hpp"
 
+#include <poll.h>
+
 #include <chrono>
-#include <thread>
 
 #include "common/error.hpp"
 
@@ -84,8 +85,11 @@ std::size_t ServiceClient::poll_wait(std::vector<ClientEvent>& out,
   for (;;) {
     const std::size_t n = poll(out);
     if (n > 0) return n;
-    if (closed() || std::chrono::steady_clock::now() >= deadline) return 0;
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    if (closed() || left.count() <= 0) return 0;
+    ::pollfd pfd{stream_->fd(), POLLIN, 0};
+    ::poll(&pfd, 1, static_cast<int>(left.count()));
   }
 }
 

@@ -24,9 +24,11 @@ struct ClientEvent {
 };
 
 /// Client endpoint of the governor service: frames requests onto a
-/// ByteStream (loopback or TCP) and decodes the server's reply stream.
+/// ByteStream (socketpair or TCP) and decodes the server's reply stream.
 /// Single-threaded; one client may multiplex any number of devices (the
-/// protocol is device_id-keyed).
+/// protocol is device_id-keyed). Requests are blocking writes; a client
+/// that stops reading replies eventually stalls the shards that write to
+/// it, so read (poll) regularly, or close.
 class ServiceClient {
  public:
   explicit ServiceClient(std::unique_ptr<ByteStream> stream);
@@ -40,7 +42,8 @@ class ServiceClient {
   /// the number appended. Never blocks.
   std::size_t poll(std::vector<ClientEvent>& out);
 
-  /// Poll until at least one event arrives or `timeout_ms` passes.
+  /// Block in poll() on the stream until at least one event arrives, the
+  /// server closes, or `timeout_ms` passes.
   std::size_t poll_wait(std::vector<ClientEvent>& out, int timeout_ms);
 
   /// True once the server closed its end and all frames were drained.

@@ -1,5 +1,8 @@
 #include "server/server.hpp"
 
+#include <poll.h>
+#include <sys/eventfd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <utility>
@@ -10,12 +13,13 @@ namespace topil::server {
 
 namespace {
 constexpr auto kIdleSleep = std::chrono::microseconds(200);
-constexpr int kAcceptTimeoutMs = 10;
 constexpr std::size_t kReadChunk = 16 * 1024;
 }  // namespace
 
-GovernorServer::GovernorServer(const ServerConfig& config) : config_(config) {
+GovernorServer::GovernorServer(const ServerConfig& config)
+    : config_(config), wake_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
   TOPIL_REQUIRE(config_.nshards > 0, "server needs at least one shard");
+  TOPIL_REQUIRE(wake_fd_.get() >= 0, "server: eventfd() failed");
   // Configuration fingerprint recorded in every shard checkpoint: resuming
   // under a different sharding/policy/epoch layout would silently change
   // digests, so it is refused instead.
@@ -54,9 +58,10 @@ void GovernorServer::stop() {
   if (stopped_) return;
   stopped_ = true;
   stopping_.store(true, std::memory_order_relaxed);
-  if (listener_) listener_->shutdown();
+  wake();
   for (std::thread& t : threads_) t.join();
   threads_.clear();
+  listener_.reset();  // the IO thread polled it until it was joined
   // Workers are parked at a step boundary, so a final checkpoint captures
   // a clean resumable state (aggregator empty, all lanes between ticks).
   for (auto& shard : shards_) shard->write_checkpoint();
@@ -70,8 +75,11 @@ std::uint16_t GovernorServer::tcp_port() const {
 std::unique_ptr<ByteStream> GovernorServer::connect_local() {
   auto [client_end, server_end] = make_loopback_pair();
   adopt_stream(std::move(server_end));
+  wake();
   return std::move(client_end);
 }
+
+void GovernorServer::wake() { ::eventfd_write(wake_fd_.get(), 1); }
 
 void GovernorServer::adopt_stream(std::unique_ptr<ByteStream> stream) {
   auto client = std::make_unique<Client>();
@@ -141,30 +149,33 @@ bool GovernorServer::dispatch(Client& client, Frame&& frame) {
 
 void GovernorServer::io_loop() {
   std::vector<std::unique_ptr<Client>> clients;
+  std::vector<::pollfd> fds;
   std::vector<char> buf(kReadChunk);
   while (!stopping_.load(std::memory_order_relaxed)) {
-    bool progressed = false;
-
-    if (listener_) {
-      // accept() doubles as the IO thread's poll interval under TCP.
-      if (auto stream = listener_->accept(kAcceptTimeoutMs)) {
-        adopt_stream(std::move(stream));
-      }
+    // One wait for every event: fds[0] is the wake eventfd, fds[1] the
+    // listener (-1 without TCP, which poll() skips), then one per client.
+    fds.assign({{wake_fd_.get(), POLLIN, 0},
+                {listener_ ? listener_->fd() : -1, POLLIN, 0}});
+    for (const auto& client : clients) {
+      fds.push_back({client->conn->stream().fd(), POLLIN, 0});
     }
-    {
-      std::lock_guard<std::mutex> lock(clients_mutex_);
-      for (auto& c : pending_clients_) clients.push_back(std::move(c));
-      pending_clients_.clear();
+    if (::poll(fds.data(), fds.size(), -1) < 0) continue;  // EINTR
+    if (fds[0].revents != 0) {
+      ::eventfd_t wakes = 0;
+      ::eventfd_read(wake_fd_.get(), &wakes);
+    }
+    if (fds[1].revents != 0) {
+      while (auto stream = listener_->accept()) adopt_stream(std::move(stream));
     }
 
-    for (auto& client : clients) {
-      if (client->conn->dead()) continue;
+    for (std::size_t i = 0; i + 2 < fds.size(); ++i) {
+      Client* client = clients[i].get();
+      if (fds[i + 2].revents == 0 || client->conn->dead()) continue;
       try {
         for (;;) {
           const std::size_t n =
               client->conn->stream().read_some(buf.data(), buf.size());
           if (n == 0) break;
-          progressed = true;
           client->reader.feed(buf.data(), n);
           while (auto frame = client->reader.next()) {
             if (!dispatch(*client, std::move(*frame))) {
@@ -193,8 +204,9 @@ void GovernorServer::io_loop() {
                          return c->conn->dead();
                        }),
         clients.end());
-
-    if (!progressed && !listener_) std::this_thread::sleep_for(kIdleSleep);
+    std::lock_guard<std::mutex> lock(clients_mutex_);
+    for (auto& c : pending_clients_) clients.push_back(std::move(c));
+    pending_clients_.clear();
   }
 }
 

@@ -19,14 +19,18 @@ namespace topil::server {
 /// cross-tenant NPU batch per tick, streaming action epochs back.
 ///
 /// Threading model:
-///  - ONE IO thread owns every connection's read side: it accepts TCP
-///    clients, pumps read_some through per-connection FrameReaders, and
-///    dispatches requests to shard inboxes. A malformed frame kills only
-///    the offending connection (kError reply, then close).
+///  - ONE IO thread owns every connection's read side. It blocks in one
+///    poll() over a wake eventfd (written by stop() and connect_local()),
+///    the non-blocking TCP listener and every client socket; it accepts
+///    TCP clients, pumps read_some through per-connection FrameReaders,
+///    and dispatches requests to shard inboxes. A malformed frame kills
+///    only the offending connection (kError reply, then close).
 ///  - N shard worker threads call Shard::pump() in a loop, sleeping
 ///    briefly when their shard is idle. Each pump writes its acks, errors,
 ///    actions and retire frames itself, once per connection (Connection
-///    serializes writes).
+///    serializes writes). The write blocks while the client's socket
+///    buffer is full, so a client that stops reading stalls its shard;
+///    one that closes marks its connection dead instead.
 struct ServerConfig {
   std::size_t nshards = 4;
   std::uint64_t policy_seed = 1;
@@ -37,8 +41,8 @@ struct ServerConfig {
   std::string state_dir;
   std::size_t checkpoint_every_ticks = 0;
   bool resume = false;
-  /// Listen on 127.0.0.1:<tcp_port> (0 = ephemeral). Loopback clients via
-  /// connect_local() work either way.
+  /// Listen on 127.0.0.1:<tcp_port> (0 = ephemeral). In-process clients
+  /// via connect_local() work either way.
   bool tcp = false;
   std::uint16_t tcp_port = 0;
 };
@@ -54,14 +58,15 @@ class GovernorServer {
   /// Launch the IO thread and one worker per shard. Call once.
   void start();
 
-  /// Final checkpoints, then stop accepting, join every thread, close
-  /// connections. Idempotent; the destructor calls it.
+  /// Join every thread, close the listener, write final checkpoints.
+  /// Idempotent; the destructor calls it.
   void stop();
 
-  /// In-process client endpoint: same wire bytes, no sockets.
+  /// In-process client endpoint: one end of a Unix socketpair, served
+  /// like a TCP connection.
   std::unique_ptr<ByteStream> connect_local();
 
-  /// Actual TCP port (only valid with config.tcp).
+  /// Actual TCP port (only valid with config.tcp, until stop()).
   std::uint16_t tcp_port() const;
 
   /// Block until every shard is idle (all devices retired or deregistered
@@ -82,6 +87,8 @@ class GovernorServer {
   void io_loop();
   void worker_loop(std::size_t shard_index);
   void adopt_stream(std::unique_ptr<ByteStream> stream);
+  /// Return the IO thread from poll().
+  void wake();
   /// Returns false when the connection must be dropped (protocol error).
   bool dispatch(Client& client, Frame&& frame);
 
@@ -92,6 +99,7 @@ class GovernorServer {
 
   std::mutex clients_mutex_;
   std::vector<std::unique_ptr<Client>> pending_clients_;  ///< adopted, not yet polled
+  UniqueFd wake_fd_;  ///< eventfd in the IO thread's poll set
 
   std::vector<std::thread> threads_;
   std::atomic<bool> stopping_{false};

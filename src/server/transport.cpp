@@ -3,15 +3,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
@@ -21,76 +19,14 @@ namespace topil::server {
 
 namespace {
 
-/// Shared core of an in-process stream pair: two mutex-guarded byte
-/// queues, one per direction. Each LoopbackStream end reads from one queue
-/// and writes the other.
-struct LoopbackCore {
-  std::mutex mutex;
-  std::deque<char> to_a;  ///< bytes travelling toward end A
-  std::deque<char> to_b;
-  bool a_open = true;
-  bool b_open = true;
-};
-
-class LoopbackStream final : public ByteStream {
+/// A connected, blocking stream socket: TCP or one end of a socketpair.
+class SocketStream final : public ByteStream {
  public:
-  LoopbackStream(std::shared_ptr<LoopbackCore> core, bool is_a)
-      : core_(std::move(core)), is_a_(is_a) {}
-
-  ~LoopbackStream() override { close(); }
+  explicit SocketStream(int fd) : fd_(fd) {}
 
   std::size_t read_some(void* out, std::size_t n) override {
-    std::lock_guard<std::mutex> lock(core_->mutex);
-    std::deque<char>& inbox = is_a_ ? core_->to_a : core_->to_b;
-    const std::size_t take = std::min(n, inbox.size());
-    char* dst = static_cast<char*>(out);
-    for (std::size_t i = 0; i < take; ++i) {
-      dst[i] = inbox.front();
-      inbox.pop_front();
-    }
-    return take;
-  }
-
-  void write(const void* data, std::size_t n) override {
-    std::lock_guard<std::mutex> lock(core_->mutex);
-    const bool peer_open = is_a_ ? core_->b_open : core_->a_open;
-    TOPIL_REQUIRE(peer_open, "loopback stream: peer is closed");
-    const char* src = static_cast<const char*>(data);
-    std::deque<char>& outbox = is_a_ ? core_->to_b : core_->to_a;
-    outbox.insert(outbox.end(), src, src + n);
-  }
-
-  bool closed() override {
-    std::lock_guard<std::mutex> lock(core_->mutex);
-    const std::deque<char>& inbox = is_a_ ? core_->to_a : core_->to_b;
-    const bool peer_open = is_a_ ? core_->b_open : core_->a_open;
-    return !peer_open && inbox.empty();
-  }
-
-  void close() override {
-    std::lock_guard<std::mutex> lock(core_->mutex);
-    (is_a_ ? core_->a_open : core_->b_open) = false;
-  }
-
- private:
-  std::shared_ptr<LoopbackCore> core_;
-  bool is_a_;
-};
-
-class TcpStream final : public ByteStream {
- public:
-  explicit TcpStream(int fd) : fd_(fd) {
-    const int one = 1;
-    // Action frames are tiny; without TCP_NODELAY Nagle adds ~40 ms to
-    // every latency sample.
-    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-
-  ~TcpStream() override { close(); }
-
-  std::size_t read_some(void* out, std::size_t n) override {
-    if (fd_ < 0) return 0;
-    const ssize_t got = ::recv(fd_, out, n, MSG_DONTWAIT);
+    if (fd_.get() < 0) return 0;
+    const ssize_t got = ::recv(fd_.get(), out, n, MSG_DONTWAIT);
     if (got > 0) return static_cast<std::size_t>(got);
     if (got == 0) {
       peer_eof_ = true;
@@ -102,20 +38,15 @@ class TcpStream final : public ByteStream {
   }
 
   void write(const void* data, std::size_t n) override {
-    TOPIL_REQUIRE(fd_ >= 0, "tcp stream: writing to a closed stream");
+    TOPIL_REQUIRE(fd_.get() >= 0, "socket stream: writing to a closed stream");
     const char* p = static_cast<const char*>(data);
     while (n > 0) {
       // MSG_NOSIGNAL: a dead peer must surface as an error, not SIGPIPE.
-      const ssize_t sent = ::send(fd_, p, n, MSG_NOSIGNAL);
+      const ssize_t sent = ::send(fd_.get(), p, n, MSG_NOSIGNAL);
       if (sent < 0) {
         if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-          ::pollfd pfd{fd_, POLLOUT, 0};
-          ::poll(&pfd, 1, 100);
-          continue;
-        }
         peer_eof_ = true;
-        throw Error("tcp stream: send failed: " +
+        throw Error("socket stream: send failed: " +
                     std::string(std::strerror(errno)));
       }
       p += sent;
@@ -123,71 +54,74 @@ class TcpStream final : public ByteStream {
     }
   }
 
-  bool closed() override { return fd_ < 0 || peer_eof_; }
+  bool closed() override { return fd_.get() < 0 || peer_eof_; }
 
-  void close() override {
-    if (fd_ >= 0) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-  }
+  void close() override { fd_.reset(); }
+
+  int fd() const override { return fd_.get(); }
 
  private:
-  int fd_ = -1;
-  bool peer_eof_ = false;
+  UniqueFd fd_;
+  /// Set by the reader on EOF and by the writer on a failed send.
+  std::atomic<bool> peer_eof_{false};
 };
+
+std::unique_ptr<ByteStream> tcp_stream(int fd) {
+  const int one = 1;
+  // Action frames are tiny; without TCP_NODELAY Nagle adds ~40 ms to
+  // every latency sample.
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return std::make_unique<SocketStream>(fd);
+}
 
 }  // namespace
 
-std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>>
-make_loopback_pair() {
-  auto core = std::make_shared<LoopbackCore>();
-  return {std::make_unique<LoopbackStream>(core, true),
-          std::make_unique<LoopbackStream>(core, false)};
-}
-
-TcpListener::TcpListener(std::uint16_t port) {
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  TOPIL_REQUIRE(fd_ >= 0, "tcp listener: socket() failed");
-  const int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  ::sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(port);
-  if (::bind(fd_, reinterpret_cast<::sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd_, 64) != 0) {
-    const std::string why = std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    throw Error("tcp listener: cannot listen on port " +
-                std::to_string(port) + ": " + why);
-  }
-  ::socklen_t len = sizeof(addr);
-  TOPIL_REQUIRE(
-      ::getsockname(fd_, reinterpret_cast<::sockaddr*>(&addr), &len) == 0,
-      "tcp listener: getsockname() failed");
-  port_ = ntohs(addr.sin_port);
-}
-
-TcpListener::~TcpListener() { shutdown(); }
-
-std::unique_ptr<ByteStream> TcpListener::accept(int timeout_ms) {
-  const int fd = fd_;  // snapshot: shutdown() may null fd_ concurrently
-  if (fd < 0) return nullptr;
-  ::pollfd pfd{fd, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, timeout_ms);
-  if (ready <= 0 || (pfd.revents & POLLIN) == 0 || fd_ < 0) return nullptr;
-  const int conn = ::accept(fd, nullptr, nullptr);
-  if (conn < 0) return nullptr;
-  return std::make_unique<TcpStream>(conn);
-}
-
-void TcpListener::shutdown() {
+void UniqueFd::reset() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>>
+make_loopback_pair() {
+  int fds[2];
+  TOPIL_REQUIRE(
+      ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0,
+      "loopback: socketpair() failed");
+  return {std::make_unique<SocketStream>(fds[0]),
+          std::make_unique<SocketStream>(fds[1])};
+}
+
+TcpListener::TcpListener(std::uint16_t port)
+    : fd_(::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0)) {
+  TOPIL_REQUIRE(fd_.get() >= 0, "tcp listener: socket() failed");
+  const int one = 1;
+  ::setsockopt(fd_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::bind(fd_.get(), reinterpret_cast<::sockaddr*>(&addr), sizeof(addr)) !=
+          0 ||
+      ::listen(fd_.get(), 64) != 0) {
+    const std::string why = std::strerror(errno);
+    throw Error("tcp listener: cannot listen on port " +
+                std::to_string(port) + ": " + why);
+  }
+  ::socklen_t len = sizeof(addr);
+  TOPIL_REQUIRE(::getsockname(fd_.get(), reinterpret_cast<::sockaddr*>(&addr),
+                              &len) == 0,
+                "tcp listener: getsockname() failed");
+  port_ = ntohs(addr.sin_port);
+}
+
+std::unique_ptr<ByteStream> TcpListener::accept() {
+  // The accepted socket is blocking: on Linux it does not inherit the
+  // listener's O_NONBLOCK.
+  const int conn = ::accept(fd_.get(), nullptr, nullptr);
+  if (conn < 0) return nullptr;
+  return tcp_stream(conn);
 }
 
 std::uint16_t parse_port(const std::string& text) {
@@ -209,7 +143,7 @@ std::unique_ptr<ByteStream> connect_tcp(const std::string& host,
     TOPIL_REQUIRE(fd >= 0, "tcp connect: socket() failed");
     if (::connect(fd, reinterpret_cast<::sockaddr*>(&addr), sizeof(addr)) ==
         0) {
-      return std::make_unique<TcpStream>(fd);
+      return tcp_stream(fd);
     }
     const std::string why = std::strerror(errno);
     ::close(fd);

@@ -8,13 +8,31 @@
 
 namespace topil::server {
 
+/// Owns one file descriptor and closes it on destruction or `reset()`.
+class UniqueFd {
+ public:
+  explicit UniqueFd(int fd = -1) : fd_(fd) {}
+  ~UniqueFd() { reset(); }
+
+  UniqueFd(const UniqueFd&) = delete;
+  UniqueFd& operator=(const UniqueFd&) = delete;
+
+  int get() const { return fd_; }
+  /// Close the descriptor (idempotent).
+  void reset();
+
+ private:
+  int fd_ = -1;
+};
+
 /// Minimal full-duplex byte stream: the transport seam between the governor
-/// service and its clients. Two implementations: an in-process loopback
-/// pair (tests, stress harness, CI determinism gates — no sockets, no
-/// ports, same wire bytes) and a plain TCP connection. Reads never block;
-/// writes are complete-or-throw. Implementations are safe for one reader
-/// thread plus one writer thread (the server reads connections on its IO
-/// thread while shard workers write actions).
+/// service and its clients. Every connection is a blocking stream socket
+/// (`SocketStream` in transport.cpp): a TCP connection, or one end of a
+/// Unix socketpair for in-process clients — same class, same wire bytes.
+/// Tests fake it to watch the server's writes. Reads never block; writes
+/// block in the kernel until every byte is queued, or throw. Safe for one
+/// reader thread plus one writer thread (the server reads connections on
+/// its IO thread while shard workers write actions).
 class ByteStream {
  public:
   virtual ~ByteStream() = default;
@@ -33,33 +51,32 @@ class ByteStream {
 
   /// Close this end; the peer observes `closed()` after draining.
   virtual void close() = 0;
+
+  /// Descriptor that poll() reports readable when `read_some` has bytes
+  /// or the peer hung up; -1 when there is none.
+  virtual int fd() const = 0;
 };
 
-/// Connected in-process stream pair (client end, server end).
+/// Connected in-process stream pair (client end, server end): the two ends
+/// of a Unix socketpair.
 std::pair<std::unique_ptr<ByteStream>, std::unique_ptr<ByteStream>>
 make_loopback_pair();
 
-/// Loopback TCP listener (127.0.0.1). `port` 0 binds an ephemeral port;
-/// `port()` reports the actual one.
+/// Non-blocking loopback TCP listener (127.0.0.1). `port` 0 binds an
+/// ephemeral port; `port()` reports the actual one.
 class TcpListener {
  public:
   explicit TcpListener(std::uint16_t port);
-  ~TcpListener();
-
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
 
   std::uint16_t port() const { return port_; }
+  /// Polled for POLLIN: a connection is waiting.
+  int fd() const { return fd_.get(); }
 
-  /// Wait up to `timeout_ms` for a connection; nullptr on timeout or after
-  /// `shutdown()`.
-  std::unique_ptr<ByteStream> accept(int timeout_ms);
-
-  /// Unblock pending and future accepts (idempotent).
-  void shutdown();
+  /// The next pending connection; nullptr when none is waiting.
+  std::unique_ptr<ByteStream> accept();
 
  private:
-  int fd_ = -1;
+  UniqueFd fd_;
   std::uint16_t port_ = 0;
 };
 

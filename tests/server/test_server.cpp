@@ -14,11 +14,11 @@
 #include "server/client.hpp"
 #include "server/server.hpp"
 
-// End-to-end tests of the governor service over the in-process loopback
-// transport: registration/ack/action/retire lifecycle, error replies, and
-// the PR's headline contract — a shard serving K tenants through one
-// aggregated NPU pass per tick retires every device with digests
-// bit-identical to K solo rollouts.
+// End-to-end tests of the governor service over in-process socketpair
+// connections and over TCP: registration/ack/action/retire lifecycle,
+// error replies, clients that hang up, and the headline contract — a shard
+// serving K tenants through one aggregated NPU pass per tick retires every
+// device with digests bit-identical to K solo rollouts.
 namespace topil::server {
 namespace {
 
@@ -117,6 +117,7 @@ class WalCheckingStream final : public ByteStream {
   std::size_t read_some(void*, std::size_t) override { return 0; }
   bool closed() override { return false; }
   void close() override {}
+  int fd() const override { return -1; }
 
   void write(const void* data, std::size_t n) override {
     reader_.feed(data, n);
@@ -152,11 +153,14 @@ ServerConfig base_config() {
   return sc;
 }
 
-/// Register `ids`, run everything to retirement, return retire records.
+/// Register `ids` over TCP when the server listens, else over a local
+/// connection; run everything to retirement, return retire records.
 std::map<std::uint64_t, RetireMsg> serve_devices(
     GovernorServer& server, const std::vector<std::uint64_t>& ids) {
   server.start();
-  ServiceClient client(server.connect_local());
+  ServiceClient client(server.config().tcp
+                           ? connect_tcp("127.0.0.1", server.tcp_port())
+                           : server.connect_local());
   for (const std::uint64_t id : ids) {
     client.register_device(
         id, make_device_scenario(kSeed, id, short_device()).serialize());
@@ -187,12 +191,14 @@ std::map<std::uint64_t, RetireMsg> serve_devices(
 
 void expect_matches_reference(
     const std::map<std::uint64_t, RetireMsg>& retired,
-    const std::vector<std::uint64_t>& ids) {
+    const std::vector<std::uint64_t>& ids,
+    const DeviceScenarioOptions& opts = short_device(),
+    std::size_t epoch_ticks = kEpochTicks) {
   ASSERT_EQ(retired.size(), ids.size());
   for (const std::uint64_t id : ids) {
-    const auto spec = make_device_scenario(kSeed, id, short_device());
+    const auto spec = make_device_scenario(kSeed, id, opts);
     const DeviceRunSummary ref =
-        run_reference_device(spec, id, kPolicySeed, kEpochTicks);
+        run_reference_device(spec, id, kPolicySeed, epoch_ticks);
     const RetireMsg& got = retired.at(id);
     EXPECT_EQ(got.digest, ref.digest) << "device " << id;
     EXPECT_EQ(got.ticks, ref.ticks) << "device " << id;
@@ -211,6 +217,56 @@ TEST(GovernorService, CrossTenantBatchingIsBitIdenticalToSoloRollouts) {
   const StatsReplyMsg stats = server.stats();
   EXPECT_GT(stats.npu_rows, 0u);
   EXPECT_GT(stats.npu_rows, stats.npu_device_calls);
+}
+
+TEST(GovernorService, ServesOverTcp) {
+  ServerConfig sc = base_config();
+  sc.tcp = true;  // port 0: an ephemeral port
+  GovernorServer server(sc);
+  const std::vector<std::uint64_t> ids = {0, 1};
+  expect_matches_reference(serve_devices(server, ids), ids);
+}
+
+TEST(GovernorService, ClientHangUpLeavesDevicesHeadless) {
+  const std::string dir = scratch_dir("hangup");
+  ServerConfig sc = base_config();
+  sc.state_dir = dir;
+  // An action every tick: each shard writes on every pump, so writes fail
+  // against the closed socket while the IO thread reads its end of file.
+  sc.epoch_ticks = 1;
+  GovernorServer server(sc);
+  server.start();
+  // Thousands of ticks, so the devices are still running when the client
+  // hangs up.
+  DeviceScenarioOptions opts = short_device();
+  opts.max_duration_s = 30.0;
+  opts.instruction_scale = 2.0;
+  const std::vector<std::uint64_t> ids = {0, 1};
+  {
+    ServiceClient client(server.connect_local());
+    for (const std::uint64_t id : ids) {
+      client.register_device(id,
+                             make_device_scenario(kSeed, id, opts).serialize());
+    }
+    std::size_t acks = 0;
+    std::vector<ClientEvent> events;
+    while (acks < ids.size()) {
+      events.clear();
+      ASSERT_GT(client.poll_wait(events, 30'000), 0u);
+      for (const ClientEvent& ev : events) {
+        ASSERT_NE(ev.type, MsgType::kError) << ev.error.message;
+        if (ev.type == MsgType::kRegisterAck) ++acks;
+      }
+    }
+  }  // hang up
+  server.wait_drained();
+  server.stop();
+  std::map<std::uint64_t, RetireMsg> retired;
+  for (const RetireMsg& m : read_retired_devices(dir, sc.nshards)) {
+    retired[m.device_id] = m;
+  }
+  expect_matches_reference(retired, ids, opts, sc.epoch_ticks);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(GovernorService, ShardCountDoesNotChangeDigests) {

@@ -91,7 +91,8 @@ if [[ "${SANITIZE:-1}" != "0" ]]; then
 
   # The threaded suites under ThreadSanitizer: parallel_for and its helper
   # cache (test_common), fleet workers (test_fleet), the server's shards,
-  # IO thread and clients (test_server), and 32 concurrent first uses of
+  # IO thread and clients over socketpairs and TCP, with the socket stream
+  # every connection uses (test_server), and 32 concurrent first uses of
   # one thermal network (ThermalNetwork.*). Any report fails the stage.
   tsan_dir="${build_dir}-tsan"
   echo "== configure TSan (${tsan_dir})"
@@ -302,6 +303,12 @@ PY
 fi
 
 if [[ "${SERVER:-1}" != "0" ]]; then
+  # Each topil_stress and topil_serve run below takes seconds. A stalled
+  # shard must fail the stage instead of hanging CI. SIGTERM does not end
+  # topil_serve's --drain wait, so SIGKILL follows 10 s after the 120 s
+  # bound. The kill -9 victim is bounded by its kill 0.4 s in.
+  bounded=(timeout -k 10 120)
+
   echo "== server protocol fuzz (corruption sweep under sanitizers)"
   # The wire-protocol corruption sweep (every-byte truncation, every-bit
   # flip, oversized lengths, trailing garbage, interleaved partial frames)
@@ -331,11 +338,11 @@ if [[ "${SERVER:-1}" != "0" ]]; then
   mkdir -p "${stress_tmp}"
   stress="${build_dir}/tools/topil_stress"
   stress_args=(--devices 48 --clients 6 --duration 2 --epoch-ticks 25)
-  "${stress}" "${stress_args[@]}" --validate \
+  "${bounded[@]}" "${stress}" "${stress_args[@]}" --validate \
     --shards "$(( jobs > 4 ? jobs : 4 ))" \
     --json "${build_dir}/BENCH_server_smoke.json" \
     --digest-out "${stress_tmp}/digests-served"
-  "${stress}" "${stress_args[@]}" --reference \
+  "${bounded[@]}" "${stress}" "${stress_args[@]}" --reference \
     --digest-out "${stress_tmp}/digests-reference"
   if ! diff "${stress_tmp}/digests-served" \
             "${stress_tmp}/digests-reference"; then
@@ -370,7 +377,8 @@ if [[ "${SERVER:-1}" != "0" ]]; then
   serve_args=(--shards 4 --seed-devices 64 --device-seed 2024
               --device-duration 20 --epoch-ticks 50 --checkpoint-every 25
               --validate)
-  "${serve}" "${serve_args[@]}" --state-dir "${srv_tmp}/golden" --drain \
+  "${bounded[@]}" "${serve}" "${serve_args[@]}" \
+    --state-dir "${srv_tmp}/golden" --drain \
     --dump-digests "${srv_tmp}/digests-golden"
 
   "${serve}" "${serve_args[@]}" --state-dir "${srv_tmp}/killed" --drain \
@@ -379,8 +387,9 @@ if [[ "${SERVER:-1}" != "0" ]]; then
   sleep 0.4
   kill -9 "${victim}" 2>/dev/null || true
   wait "${victim}" 2>/dev/null || true
-  "${serve}" --shards 4 --epoch-ticks 50 --checkpoint-every 25 --validate \
-    --state-dir "${srv_tmp}/killed" --resume --drain \
+  "${bounded[@]}" "${serve}" --shards 4 --epoch-ticks 50 \
+    --checkpoint-every 25 --validate --state-dir "${srv_tmp}/killed" \
+    --resume --drain \
     --dump-digests "${srv_tmp}/digests-resumed"
   if ! diff "${srv_tmp}/digests-golden" "${srv_tmp}/digests-resumed"; then
     echo "server crash-recovery gate FAILED: resumed digests differ" >&2

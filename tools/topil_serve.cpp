@@ -20,9 +20,9 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "server/client.hpp"
 #include "server/server.hpp"
@@ -164,26 +164,35 @@ int run(const Options& opt) {
   }
 
   // Self-drive: register synthetic devices through the same wire path a
-  // TCP client would use, then let them run headless to retirement.
-  std::unique_ptr<ServiceClient> seeder;
+  // TCP client would use, read until every registration is answered, then
+  // hang up and let the devices run headless to retirement. Closing any
+  // earlier would let a shard's failed ack write mark the connection dead
+  // and drop the registrations the IO thread had not read yet.
   if (opt.seed_devices > 0) {
-    seeder = std::make_unique<ServiceClient>(server.connect_local());
+    ServiceClient seeder(server.connect_local());
     DeviceScenarioOptions dopts;
     dopts.max_duration_s = opt.device_duration_s;
     dopts.instruction_scale = opt.instruction_scale;
     for (std::uint64_t id = 0; id < opt.seed_devices; ++id) {
       const auto spec = make_device_scenario(opt.device_seed, id, dopts);
-      seeder->register_device(id, spec.serialize());
+      seeder.register_device(id, spec.serialize());
+    }
+    std::size_t answered = 0;
+    std::vector<ClientEvent> events;
+    while (answered < opt.seed_devices && !seeder.closed() && g_stop == 0) {
+      events.clear();
+      seeder.poll_wait(events, 100);
+      for (const ClientEvent& ev : events) {
+        if (ev.type == MsgType::kRegisterAck || ev.type == MsgType::kError) {
+          ++answered;
+        }
+      }
     }
   }
 
   if (opt.drain) {
-    // Let registrations land before the idle check can pass vacuously.
-    while (server.stats().devices_registered <
-               static_cast<std::uint64_t>(opt.seed_devices) &&
-           g_stop == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+    // Every registration is answered, so the idle check cannot pass
+    // before the seeded devices are live.
     server.wait_drained();
   } else {
     while (g_stop == 0) {
