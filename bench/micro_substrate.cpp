@@ -1,6 +1,6 @@
 // Microbenchmarks of the substrate (google-benchmark): NN inference,
 // fp16 compilation, thermal network stepping and building, full simulator
-// ticks and the per-tick state digest.
+// ticks, the per-tick state digest and a device's checkpoint record.
 // These quantify why the runtime governor is cheap and why design-time
 // trace collection can afford thousands of steady-state solves.
 
@@ -12,6 +12,8 @@
 #include "il/trace_collector.hpp"
 #include "nn/simd_kernels.hpp"
 #include "npu/compiled_model.hpp"
+#include "persist/crc32.hpp"
+#include "persist/snapshot.hpp"
 #include "server/device_scenario.hpp"
 #include "sim/system_sim.hpp"
 #include "thermal/rc_network.hpp"
@@ -290,30 +292,72 @@ BENCHMARK(BM_SimulatorTick)
     ->Args({8, 1})
     ->Args({16, 1});
 
-// The per-tick state digest every DigestMonitor (one per served device)
-// takes. The state is a make_device_scenario device with its 3 apps
-// running. Arg 0 = package grid: 1 = its 13-node network, 12 = the
-// 156-node 12x12 spreader grid.
-void BM_TickStateDigest(benchmark::State& state) {
-  const scenario::ScenarioSpec spec =
-      server::make_device_scenario(1, 0, server::DeviceScenarioOptions{});
-  scenario::MaterializedScenario mat = scenario::materialize(spec);
-  mat.sim.floorplan.package_grid = static_cast<std::size_t>(state.range(0));
-  SystemSim sim(mat.platform, mat.cooling, mat.sim);
-  const std::vector<WorkloadItem>& items = mat.workload.items();
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    sim.spawn(Workload::app_of(items[i]), items[i].qos_target_ips,
-              i % mat.platform.num_cores());
+scenario::MaterializedScenario device_scenario(std::size_t package_grid) {
+  scenario::MaterializedScenario mat = scenario::materialize(
+      server::make_device_scenario(1, 0, server::DeviceScenarioOptions{}));
+  mat.sim.floorplan.package_grid = package_grid;
+  return mat;
+}
+
+// A make_device_scenario device with its 3 apps running, 1 s in. Package
+// grid 1 is its 13-node network, 12 the 156-node 12x12 spreader grid.
+struct RunningDevice {
+  explicit RunningDevice(std::size_t package_grid)
+      : mat(device_scenario(package_grid)),
+        sim(mat.platform, mat.cooling, mat.sim) {
+    const std::vector<WorkloadItem>& items = mat.workload.items();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      sim.spawn(Workload::app_of(items[i]), items[i].qos_target_ips,
+                i % mat.platform.num_cores());
+    }
+    sim.run_for(1.0);
   }
-  sim.run_for(1.0);
+
+  scenario::MaterializedScenario mat;
+  SystemSim sim;
+};
+
+// The per-tick state digest every DigestMonitor (one per served device)
+// takes. Arg 0 = package grid.
+void BM_TickStateDigest(benchmark::State& state) {
+  const RunningDevice device(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(validate::tick_state_digest(sim));
+    benchmark::DoNotOptimize(validate::tick_state_digest(device.sim));
   }
   state.counters["nodes"] =
-      static_cast<double>(sim.thermal().node_temps_c().size());
-  state.counters["processes"] = static_cast<double>(sim.num_running());
+      static_cast<double>(device.sim.thermal().node_temps_c().size());
+  state.counters["processes"] = static_cast<double>(device.sim.num_running());
 }
 BENCHMARK(BM_TickStateDigest)->Arg(1)->Arg(12);
+
+// The simulator record a shard checkpoint holds per served device: the
+// 13-node BM_TickStateDigest device through SnapshotAccess::save.
+void BM_DeviceSnapshotSave(benchmark::State& state) {
+  const RunningDevice device(1);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    persist::StateWriter out;
+    persist::SnapshotAccess::save(out, device.sim);
+    bytes = out.buffer().size();
+    benchmark::DoNotOptimize(out.buffer().data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["bytes"] = static_cast<double>(bytes);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    bytes));
+}
+BENCHMARK(BM_DeviceSnapshotSave);
+
+// The checksum of WAL frames and checkpoint payloads. Arg 0 = bytes.
+void BM_Crc32(benchmark::State& state) {
+  const std::string data(static_cast<std::size_t>(state.range(0)), '\x5a');
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(persist::crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 void BM_ScenarioTraceCollection(benchmark::State& state) {
   const PlatformSpec platform = PlatformSpec::hikey970();

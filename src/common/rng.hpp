@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -8,6 +9,50 @@
 #include "common/error.hpp"
 
 namespace topil {
+
+/// The 64-bit Mersenne Twister as the C++ standard defines std::mt19937_64
+/// ([rand.predef]): the same seeding, twist and tempering, so it yields the
+/// same outputs, and every standard distribution drawn through it the same
+/// values. The library owns it so that its state is plain words that a
+/// snapshot copies instead of formatting.
+class Mt19937_64 {
+ public:
+  using result_type = std::uint_fast64_t;
+  static constexpr std::size_t kStateWords = 312;
+  static constexpr result_type kDefaultSeed = 5489u;
+
+  /// The state words and the index of the next word to temper. At 312 the
+  /// next draw twists first, as it does right after seeding.
+  struct State {
+    std::array<std::uint64_t, kStateWords> words;
+    std::size_t position;
+  };
+
+  explicit Mt19937_64(result_type seed = kDefaultSeed);
+
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  result_type operator()() {
+    if (state_.position >= kStateWords) twist();
+    std::uint64_t z = state_.words[state_.position++];
+    z ^= (z >> 29) & 0x5555555555555555ull;
+    z ^= (z << 17) & 0x71d67fffeda60000ull;
+    z ^= (z << 37) & 0xfff7eee000000000ull;
+    z ^= z >> 43;
+    return z;
+  }
+
+  const State& state() const { return state_; }
+  /// Throws InvalidArgument on a position past 312 or an all-zero state,
+  /// from which the twist yields nothing but zeros.
+  void set_state(const State& state);
+
+ private:
+  void twist();
+
+  State state_;
+};
 
 /// Deterministic random number generator used throughout the library.
 ///
@@ -75,11 +120,11 @@ class Rng {
     return Rng(z ^ (z >> 31));
   }
 
-  std::mt19937_64& engine() { return engine_; }
-  const std::mt19937_64& engine() const { return engine_; }
+  Mt19937_64& engine() { return engine_; }
+  const Mt19937_64& engine() const { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 }  // namespace topil

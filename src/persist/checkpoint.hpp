@@ -12,9 +12,10 @@ namespace topil::persist {
 /// reader reject truncation, trailing garbage, and bit flips before any
 /// field of the payload is interpreted.
 inline constexpr std::uint32_t kCheckpointMagic = 0x544f5043u;  // "TOPC"
-/// Version 2: the NPU device section no longer carries a busy-until
-/// horizon, so a version-1 payload would misparse; it is refused instead.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+/// Version 3: random engines are saved as 312 words and a position, not as
+/// decimal text. Older payloads would misparse (version 1 also carries an
+/// NPU busy-until horizon), so the header refuses them.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Atomically write `payload` under the TOPC frame (temp file + fsync +
 /// rename; a crash mid-write leaves the previous checkpoint intact).

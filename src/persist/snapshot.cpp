@@ -1,8 +1,5 @@
 #include "persist/snapshot.hpp"
 
-#include <locale>
-#include <sstream>
-
 #include "apps/app_model.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -23,17 +20,16 @@ namespace topil::persist {
 // --- free helpers -------------------------------------------------------
 
 void save_rng(StateWriter& out, const Rng& rng) {
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << rng.engine();
-  out.str(os.str());
+  const Mt19937_64::State& state = rng.engine().state();
+  out.raw(state.words.data(), sizeof(state.words));
+  out.size(state.position);
 }
 
 void restore_rng(StateReader& in, Rng& rng) {
-  std::istringstream is(in.str());
-  is.imbue(std::locale::classic());
-  is >> rng.engine();
-  TOPIL_REQUIRE(!is.fail(), "snapshot: corrupt RNG engine state");
+  Mt19937_64::State state{};
+  for (std::uint64_t& word : state.words) word = in.u64();
+  state.position = in.size();
+  rng.engine().set_state(state);
 }
 
 void save_matrix(StateWriter& out, const nn::Matrix& m) {

@@ -77,8 +77,8 @@ struct SnapshotAccess {
   static void restore_processes(StateReader& in, SystemSim& sim);
 };
 
-/// mt19937_64 engines round-trip through their decimal stream form
-/// (portable across builds; the classic locale is forced).
+/// An engine round-trips as its 312 state words and its position, 2,504
+/// bytes; a restore rejects a position past 312 or an all-zero state.
 void save_rng(StateWriter& out, const Rng& rng);
 void restore_rng(StateReader& in, Rng& rng);
 

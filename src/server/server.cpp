@@ -88,8 +88,9 @@ void GovernorServer::adopt_stream(std::unique_ptr<ByteStream> stream) {
   pending_clients_.push_back(std::move(client));
 }
 
-void GovernorServer::wait_drained() {
+void GovernorServer::wait_drained(const std::function<bool()>& stop) {
   for (;;) {
+    if (stop()) return;
     bool idle = true;
     for (const auto& shard : shards_) idle = idle && shard->idle();
     if (idle) break;

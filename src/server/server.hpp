@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -71,7 +72,12 @@ class GovernorServer {
 
   /// Block until every shard is idle (all devices retired or deregistered
   /// and inboxes drained) — then one more sweep so retire frames are out.
-  void wait_drained();
+  void wait_drained() {
+    wait_drained([] { return false; });
+  }
+  /// The same wait, given up as soon as `stop` returns true (polled every
+  /// millisecond; a signal-driven tool passes its stop flag).
+  void wait_drained(const std::function<bool()>& stop);
 
   /// Aggregate counters across shards (also served over kStatsRequest).
   StatsReplyMsg stats() const;

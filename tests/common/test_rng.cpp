@@ -2,10 +2,70 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
+#include <random>
 
 namespace topil {
 namespace {
+
+// The standard's own check value for mt19937_64 ([rand.predef]).
+TEST(Mt19937_64, TenThousandthOutputIsTheStandardsValue) {
+  Mt19937_64 engine;
+  for (int i = 1; i < 10000; ++i) engine();
+  EXPECT_EQ(engine(), 9981545732273789042ull);
+}
+
+// Every seed the library uses is a plain 64-bit value: 5489 (the
+// standard's default), 0, Rng's default and a Rng::stream seed. Right
+// after seeding, state word 0 is the seed itself.
+std::vector<std::uint64_t> identity_seeds() {
+  return {5489u, 0u, Rng().engine().state().words[0],
+          Rng::stream(11, 3).engine().state().words[0]};
+}
+
+// Identical raw output is what keeps every digest, trained policy and CSV
+// where std::mt19937_64 put it.
+TEST(Mt19937_64, RawOutputsMatchStdEngine) {
+  for (const std::uint64_t seed : identity_seeds()) {
+    Mt19937_64 engine(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(engine(), reference()) << "seed " << seed << " draw " << i;
+    }
+  }
+}
+
+// Rng's distributions use only the engine's URBG interface, so they draw
+// what the same std distributions draw from std::mt19937_64.
+TEST(Mt19937_64, RngDrawsMatchStdDistributionsOnStdEngine) {
+  for (const std::uint64_t seed : identity_seeds()) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(rng.uniform(-1.5, 4.0),
+                std::uniform_real_distribution<double>(-1.5, 4.0)(ref));
+      ASSERT_EQ(rng.uniform_int(-3, 1000),
+                std::uniform_int_distribution<int>(-3, 1000)(ref));
+      ASSERT_EQ(rng.gaussian(2.0, 0.5),
+                std::normal_distribution<double>(2.0, 0.5)(ref));
+      ASSERT_EQ(rng.exponential(3.0),
+                std::exponential_distribution<double>(3.0)(ref));
+      ASSERT_EQ(rng.bernoulli(0.3), std::bernoulli_distribution(0.3)(ref));
+      ASSERT_EQ(rng.index(37),
+                std::uniform_int_distribution<std::size_t>(0, 36)(ref));
+      if (i % 100 == 0) {
+        std::vector<int> mine(1 + i % 61);
+        std::iota(mine.begin(), mine.end(), 0);
+        std::vector<int> theirs = mine;
+        rng.shuffle(mine);
+        std::shuffle(theirs.begin(), theirs.end(), ref);
+        ASSERT_EQ(mine, theirs) << "seed " << seed << " round " << i;
+      }
+    }
+    ASSERT_EQ(rng.engine()(), ref()) << "seed " << seed;
+  }
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42);

@@ -80,22 +80,25 @@ TEST(CheckpointFile, TrailingGarbageRejected) {
 }
 
 TEST(CheckpointFile, OlderVersionRefusedByHeader) {
-  // A version-1 payload still carries the NPU busy-until field that
-  // version 2 dropped; the header refuses it before the payload is read.
+  // Version 1 still carries the NPU busy-until field that version 2
+  // dropped, and both save random engines as decimal text where version 3
+  // saves words; the header refuses them before the payload is read.
   const std::string dir = scratch_dir("topc_version");
   const std::string path = dir + "/state.ckpt";
-  write_checkpoint_file(path, "payload");
-  std::string bytes = read_file(path);
-  const std::uint32_t version_1 = 1;
-  std::memcpy(bytes.data() + 4, &version_1, sizeof(version_1));
-  write_file(path, bytes);
-  try {
-    read_checkpoint_file(path);
-    FAIL() << "a version-1 checkpoint was accepted";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 1"),
-              std::string::npos)
-        << e.what();
+  for (const std::uint32_t version : {1u, 2u}) {
+    write_checkpoint_file(path, "payload");
+    std::string bytes = read_file(path);
+    std::memcpy(bytes.data() + 4, &version, sizeof(version));
+    write_file(path, bytes);
+    try {
+      read_checkpoint_file(path);
+      ADD_FAILURE() << "a version-" << version << " checkpoint was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

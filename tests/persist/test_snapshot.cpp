@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "apps/app_database.hpp"
@@ -18,28 +19,75 @@
 namespace topil::persist {
 namespace {
 
+// Positions 0 (a fresh twist), 100, 156 and 312 (the next draw twists).
 TEST(Snapshot, RngRoundTripContinuesIdentically) {
-  Rng original(42);
-  for (int i = 0; i < 100; ++i) original.uniform(0.0, 1.0);
+  for (const std::size_t position : {0u, 100u, 156u, 312u}) {
+    Rng original(42);
+    for (int i = 0; i < 312 * 2; ++i) original.engine()();
+    Mt19937_64::State state = original.engine().state();
+    ASSERT_EQ(state.position, 312u);
+    state.position = position;
+    original.engine().set_state(state);
 
+    StateWriter out;
+    save_rng(out, original);
+    Rng restored(7);  // different seed: state must come from the snapshot
+    StateReader in(out.buffer());
+    restore_rng(in, restored);
+    in.require_done();
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(original.uniform(0.0, 1.0), restored.uniform(0.0, 1.0))
+          << "position " << position << " draw " << i;
+    }
+  }
+}
+
+// An engine's record: 312 state words and the position, 8 bytes each.
+constexpr std::size_t kRngBytes = (Mt19937_64::kStateWords + 1) * 8;
+
+TEST(Snapshot, RngStateIsWordsAndPosition) {
+  Rng rng(42);
+  for (int i = 0; i < 100; ++i) rng.engine()();
   StateWriter out;
-  save_rng(out, original);
-  Rng restored(7);  // different seed: state must come from the snapshot
-  StateReader in(out.buffer());
-  restore_rng(in, restored);
-  in.require_done();
+  save_rng(out, rng);
+  ASSERT_EQ(out.buffer().size(), kRngBytes);
+  const Mt19937_64::State& state = rng.engine().state();
+  EXPECT_EQ(std::memcmp(out.buffer().data(), state.words.data(),
+                        sizeof(state.words)),
+            0);
+  StateReader in(std::string_view(out.buffer()).substr(sizeof(state.words)));
+  EXPECT_EQ(in.u64(), 100u);
+}
 
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(original.uniform(0.0, 1.0), restored.uniform(0.0, 1.0)) << i;
+TEST(Snapshot, TruncatedRngStateThrowsAtEveryLength) {
+  StateWriter out;
+  save_rng(out, Rng(3));
+  for (std::size_t len = 0; len < kRngBytes; ++len) {
+    Rng rng(1);
+    StateReader in(std::string_view(out.buffer()).substr(0, len));
+    EXPECT_THROW(restore_rng(in, rng), Error) << len;
   }
 }
 
 TEST(Snapshot, CorruptRngStateThrows) {
-  StateWriter out;
-  out.str("not a number stream $$$");
+  StateWriter past_end;
+  const std::vector<std::uint64_t> words(Mt19937_64::kStateWords, 1u);
+  past_end.raw(words.data(), words.size() * 8);
+  past_end.u64(313);
   Rng rng(1);
-  StateReader in(out.buffer());
-  EXPECT_THROW(restore_rng(in, rng), Error);
+  StateReader in_past_end(past_end.buffer());
+  EXPECT_THROW(restore_rng(in_past_end, rng), Error);
+
+  StateWriter all_zero;
+  const std::vector<std::uint64_t> zeros(Mt19937_64::kStateWords, 0u);
+  all_zero.raw(zeros.data(), zeros.size() * 8);
+  all_zero.u64(0);
+  StateReader in_all_zero(all_zero.buffer());
+  EXPECT_THROW(restore_rng(in_all_zero, rng), Error);
+
+  // Neither rejected state was taken.
+  Rng fresh(1);
+  EXPECT_EQ(rng.engine()(), fresh.engine()());
 }
 
 TEST(Snapshot, MatrixRoundTrip) {

@@ -63,6 +63,24 @@ std::map<std::uint64_t, DeviceRunSummary> reference_digests(
   return out;
 }
 
+/// Poll until each of `ids` has sent an action, so that every device is
+/// registered (its WAL record synced) and mid-run. A count of actions alone
+/// can be met by one shard's devices while the other shard has not yet
+/// taken its registrations from the inbox, which stop() does not persist.
+void await_first_actions(ServiceClient& client,
+                         const std::vector<std::uint64_t>& ids) {
+  std::set<std::uint64_t> acted;
+  std::vector<ClientEvent> events;
+  while (acted.size() < ids.size()) {
+    events.clear();
+    ASSERT_GT(client.poll_wait(events, 30'000), 0u);
+    for (const ClientEvent& ev : events) {
+      ASSERT_NE(ev.type, MsgType::kError) << ev.error.message;
+      if (ev.type == MsgType::kAction) acted.insert(ev.action.device_id);
+    }
+  }
+}
+
 /// Start a durable server, register `ids`, stop mid-run after the first
 /// actions arrive (devices still live), leaving WAL + checkpoints behind.
 void run_and_interrupt(const std::string& dir,
@@ -74,16 +92,7 @@ void run_and_interrupt(const std::string& dir,
     client.register_device(
         id, make_device_scenario(kSeed, id, device_opts()).serialize());
   }
-  std::size_t actions = 0;
-  std::vector<ClientEvent> events;
-  while (actions < ids.size()) {  // every shard demonstrably mid-run
-    events.clear();
-    ASSERT_GT(client.poll_wait(events, 30'000), 0u);
-    for (const ClientEvent& ev : events) {
-      ASSERT_NE(ev.type, MsgType::kError) << ev.error.message;
-      if (ev.type == MsgType::kAction) ++actions;
-    }
-  }
+  ASSERT_NO_FATAL_FAILURE(await_first_actions(client, ids));
   server.stop();  // final checkpoint at a step boundary
   ASSERT_GT(server.stats().devices_live, 0u)
       << "stop landed after completion; nothing left to resume";
@@ -166,16 +175,7 @@ TEST(ServerResume, ResumeUnderValidationReportsNoViolations) {
       client.register_device(
           id, make_device_scenario(kSeed, id, device_opts()).serialize());
     }
-    std::size_t actions = 0;
-    std::vector<ClientEvent> events;
-    while (actions < ids.size()) {
-      events.clear();
-      ASSERT_GT(client.poll_wait(events, 30'000), 0u);
-      for (const ClientEvent& ev : events) {
-        ASSERT_NE(ev.type, MsgType::kError) << ev.error.message;
-        if (ev.type == MsgType::kAction) ++actions;
-      }
-    }
+    ASSERT_NO_FATAL_FAILURE(await_first_actions(client, ids));
     server.stop();
     ASSERT_GT(server.stats().devices_live, 0u);
   }

@@ -445,6 +445,29 @@ TEST(GovernorService, DeregisterRemovesADeviceMidRun) {
   EXPECT_EQ(server.stats().devices_retired, 0u);
 }
 
+TEST(GovernorService, DrainWaitEndsWhenStopIsRequested) {
+  GovernorServer server(base_config());
+  server.start();
+  ServiceClient client(server.connect_local());
+  client.register_device(4, make_device_scenario(kSeed, 4, long_device())
+                                 .serialize());
+  std::vector<ClientEvent> events;
+  while (server.stats().devices_live == 0) {
+    events.clear();
+    ASSERT_GT(client.poll_wait(events, 30'000), 0u);
+  }
+  // The device runs for an hour of simulated time, so only the stop
+  // request can end the wait.
+  int polls = 0;
+  server.wait_drained([&] { return ++polls == 3; });
+  EXPECT_EQ(polls, 3);
+  EXPECT_EQ(server.stats().devices_live, 1u);
+  client.deregister_device(4);
+  server.wait_drained();
+  server.stop();
+  EXPECT_EQ(server.stats().devices_live, 0u);
+}
+
 TEST(GovernorService, StatsRequestReportsCounters) {
   GovernorServer server(base_config());
   const std::vector<std::uint64_t> ids = {0, 1};

@@ -304,9 +304,10 @@ fi
 
 if [[ "${SERVER:-1}" != "0" ]]; then
   # Each topil_stress and topil_serve run below takes seconds. A stalled
-  # shard must fail the stage instead of hanging CI. SIGTERM does not end
-  # topil_serve's --drain wait, so SIGKILL follows 10 s after the 120 s
-  # bound. The kill -9 victim is bounded by its kill 0.4 s in.
+  # shard must fail the stage instead of hanging CI: SIGTERM at the 120 s
+  # bound ends a run, topil_serve's --drain wait included, and SIGKILL
+  # follows 10 s later for a process stuck past it. The kill -9 victim is
+  # bounded by its kill 0.4 s in.
   bounded=(timeout -k 10 120)
 
   echo "== server protocol fuzz (corruption sweep under sanitizers)"
@@ -362,6 +363,18 @@ if [[ "${SERVER:-1}" != "0" ]]; then
   # its own tree under .bench_build/ in the repo root.
   (cd "${repo_root}" && python3 perfbench/run.py --workload serve --seed 1 \
     --seconds 3 --trace 0)
+
+  echo "== server drain stop gate (SIGTERM ends a --drain run)"
+  # Devices that would run for 100000 simulated seconds keep --drain
+  # waiting; SIGTERM 1 s in must end the run cleanly (exit 0) within
+  # 10 s, or timeout's SIGKILL makes the status 137.
+  if ! timeout --preserve-status -k 10 1 "${build_dir}/tools/topil_serve" \
+         --seed-devices 8 --device-duration 100000 --drain >/dev/null; then
+    echo "server drain stop gate FAILED: topil_serve --drain did not exit" \
+         "cleanly within 10 s of SIGTERM" >&2
+    exit 1
+  fi
+  echo "server drain stop gate OK"
 
   echo "== server crash-recovery gate (kill -9 + --resume digest parity)"
   # Golden: an uninterrupted self-driven fleet, dumping every retired

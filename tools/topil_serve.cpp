@@ -13,6 +13,7 @@
 // bit-identically. Exit status: 0 = clean, 1 = invariant violations or
 // errors, 2 = usage.
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -129,8 +130,12 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-std::sig_atomic_t g_stop = 0;
-void on_signal(int) { g_stop = 1; }
+// Written by the signal handler on whichever thread takes the signal and
+// read by the main thread, so an atomic (lock-free, hence async-signal
+// safe) rather than a volatile sig_atomic_t.
+std::atomic<bool> g_stop{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
+void on_signal(int) { g_stop.store(true); }
 
 void dump_digests(const Options& opt) {
   if (opt.dump_digests.empty()) return;
@@ -179,7 +184,7 @@ int run(const Options& opt) {
     }
     std::size_t answered = 0;
     std::vector<ClientEvent> events;
-    while (answered < opt.seed_devices && !seeder.closed() && g_stop == 0) {
+    while (answered < opt.seed_devices && !seeder.closed() && !g_stop) {
       events.clear();
       seeder.poll_wait(events, 100);
       for (const ClientEvent& ev : events) {
@@ -192,10 +197,11 @@ int run(const Options& opt) {
 
   if (opt.drain) {
     // Every registration is answered, so the idle check cannot pass
-    // before the seeded devices are live.
-    server.wait_drained();
+    // before the seeded devices are live. SIGTERM and SIGINT end the
+    // wait as they end a serving run.
+    server.wait_drained([] { return g_stop.load(); });
   } else {
-    while (g_stop == 0) {
+    while (!g_stop) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
   }
