@@ -11,7 +11,7 @@
 #include "common/csv.hpp"
 #include "core/experiment.hpp"
 #include "governors/topil_governor.hpp"
-#include "npu/npu_device.hpp"
+#include "npu/npu_cost_model.hpp"
 #include "support/bench_support.hpp"
 #include "validate/invariant_checker.hpp"
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "il/features.hpp"
-#include "sim/perf_counters.hpp"
 
 namespace topil {
 
@@ -28,18 +27,16 @@ void DvfsControlLoop::tick(SystemSim& sim) {
   }
 
   const PlatformSpec& platform = sim.platform();
-  const std::vector<PerfApi::Sample> samples =
-      PerfApi::read_all(sim, "dvfs");
+  sim.charge_counter_reads("dvfs");
 
   // Required level per cluster: the maximum f~_{k,min} over its apps.
   std::vector<std::size_t> target(platform.num_clusters(), 0);
   std::vector<bool> has_app(platform.num_clusters(), false);
-  for (const auto& s : samples) {
-    const Process& proc = sim.process(s.pid);
+  for (const auto& [pid, proc] : sim.processes()) {
     const ClusterId x = platform.cluster_of_core(proc.core());
     const VFTable& vf = platform.cluster(x).vf;
     std::size_t level = il::estimate_min_level(
-        vf, s.ips, sim.freq_ghz(x), proc.qos_target_ips());
+        vf, proc.measured_ips(), sim.freq_ghz(x), proc.qos_target_ips());
     if (level >= vf.num_levels()) level = vf.num_levels() - 1;  // peak
     target[x] = std::max(target[x], level);
     has_app[x] = true;

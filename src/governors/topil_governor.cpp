@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "il/runtime_features.hpp"
+#include "npu/batch_aggregator.hpp"
 #include "persist/snapshot.hpp"
-#include "sim/perf_counters.hpp"
 
 namespace topil {
 
@@ -19,11 +19,9 @@ TopIlGovernor::TopIlGovernor(il::IlPolicyModel model, Config config)
     : model_(std::move(model)),
       config_(config),
       compiled_(npu::CompiledModel::compile(model_.network())),
-      npu_(config.npu),
       dvfs_(config.dvfs) {
   TOPIL_REQUIRE(config.migration_period_s > 0.0,
                 "migration period must be positive");
-  npu_.set_aggregator(config.aggregator);
 }
 
 void TopIlGovernor::reset(SystemSim& sim) {
@@ -38,7 +36,7 @@ void TopIlGovernor::reset(SystemSim& sim) {
 
 void TopIlGovernor::start_migration_epoch(SystemSim& sim) {
   ++epochs_started_;
-  const std::vector<Pid> pids = sim.running_pids();
+  std::vector<Pid> pids = sim.running_pids();
   if (pids.empty()) return;
 
   sim.charge_overhead(
@@ -53,16 +51,25 @@ void TopIlGovernor::start_migration_epoch(SystemSim& sim) {
   // The NPU path requires the platform to actually have one; otherwise
   // fall back to (slower, linear-cost) CPU inference transparently.
   if (sim.platform().npu().present) {
-    const auto job = npu_.submit(compiled_, batch, sim.now());
-    sim.npu_busy_for(npu_.latency_s(compiled_, batch.rows()));
-    pending_ = PendingJob{job, pids};
+    const double latency =
+        config_.npu.latency_s(compiled_.topology(), batch.rows());
+    if (config_.aggregator != nullptr) {
+      // The result lands at the aggregator's flush; until then `ratings_`
+      // holds no rows, which tick() refuses to apply.
+      ratings_ = nn::Matrix();
+      config_.aggregator->enqueue(compiled_, batch, &ratings_);
+    } else {
+      compiled_.infer_batched_into(batch, ratings_, ws_);
+    }
+    sim.npu_busy_for(latency);
+    pending_ = PendingJob{sim.now() + latency, std::move(pids)};
   } else {
     // CPU fallback: synchronous inference, its latency charged as CPU time.
     sim.charge_overhead(kOverheadComponent,
                         config_.cpu_inference.latency_s(
                             batch.rows(), compiled_.macs_per_row()));
-    model_.network().predict_into(batch, cpu_ratings_, cpu_ws_);
-    finish_migration_epoch(sim, cpu_ratings_, pids);
+    model_.network().predict_into(batch, ratings_, ws_);
+    finish_migration_epoch(sim, ratings_, pids);
   }
 }
 
@@ -114,7 +121,6 @@ void TopIlGovernor::finish_migration_epoch(SystemSim& sim,
 void TopIlGovernor::save_state(persist::StateWriter& out) const {
   out.tag("TIL ");
   persist::SnapshotAccess::save(out, dvfs_);
-  persist::SnapshotAccess::save(out, npu_);
   out.f64(next_migration_);
   out.boolean(epoch_deferred_);
   out.u64(migrations_);
@@ -122,7 +128,8 @@ void TopIlGovernor::save_state(persist::StateWriter& out) const {
   out.u64(epochs_deferred_);
   out.boolean(pending_.has_value());
   if (pending_) {
-    out.u64(pending_->job);
+    out.f64(pending_->done_at);
+    persist::save_matrix(out, ratings_);
     out.vec_size(pending_->pids);
   }
 }
@@ -130,7 +137,6 @@ void TopIlGovernor::save_state(persist::StateWriter& out) const {
 void TopIlGovernor::restore_state(persist::StateReader& in) {
   in.expect_tag("TIL ");
   persist::SnapshotAccess::restore(in, dvfs_);
-  persist::SnapshotAccess::restore(in, npu_);
   next_migration_ = in.f64();
   epoch_deferred_ = in.boolean();
   migrations_ = in.size();
@@ -138,7 +144,8 @@ void TopIlGovernor::restore_state(persist::StateReader& in) {
   epochs_deferred_ = in.size();
   if (in.boolean()) {
     PendingJob pending;
-    pending.job = in.size();
+    pending.done_at = in.f64();
+    ratings_ = persist::restore_matrix(in);
     pending.pids = in.vec_size();
     pending_ = std::move(pending);
   } else {
@@ -149,11 +156,12 @@ void TopIlGovernor::restore_state(persist::StateReader& in) {
 void TopIlGovernor::tick(SystemSim& sim) {
   dvfs_.tick(sim);
 
-  if (pending_ && npu_.ready(pending_->job, sim.now())) {
-    const nn::Matrix ratings = npu_.take_result(pending_->job, sim.now());
-    const std::vector<Pid> pids = pending_->pids;
+  if (pending_ && sim.now() + 1e-12 >= pending_->done_at) {
+    TOPIL_REQUIRE(ratings_.rows() == pending_->pids.size(),
+                  "NPU batch not materialized (aggregator not flushed)");
+    const std::vector<Pid> pids = std::move(pending_->pids);
     pending_.reset();
-    finish_migration_epoch(sim, ratings, pids);
+    finish_migration_epoch(sim, ratings_, pids);
     if (epoch_deferred_) {
       // An epoch deadline passed while the batch was still in flight: run
       // the deferred epoch now instead of silently skipping it.

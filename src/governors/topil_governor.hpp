@@ -6,7 +6,12 @@
 #include "governors/dvfs_control.hpp"
 #include "governors/governor.hpp"
 #include "il/il_model.hpp"
-#include "npu/npu_device.hpp"
+#include "npu/compiled_model.hpp"
+#include "npu/npu_cost_model.hpp"
+
+namespace topil::npu {
+class InferenceAggregator;
+}
 
 namespace topil {
 
@@ -15,8 +20,9 @@ namespace topil {
 /// single NPU batch — and executes the single migration with the largest
 /// predicted rating improvement (Eq. 5). Per-cluster VF levels come from
 /// the shared DVFS control loop. The NPU call is non-blocking: the batch
-/// is submitted in one epoch and the result is applied when the device
-/// reports completion (microseconds to low milliseconds later).
+/// is submitted in one epoch and its ratings are applied at the first tick
+/// at or after the modeled completion (microseconds to low milliseconds
+/// later). At most one batch is in flight.
 class TopIlGovernor : public Governor {
  public:
   struct Config {
@@ -25,16 +31,16 @@ class TopIlGovernor : public Governor {
     /// migration thrash on near-equal mappings).
     double min_improvement = 0.02;
     /// CPU cost charged per migration-policy invocation: feature
-    /// collection, DDK submission, applying the decision.
+    /// collection, NPU submission, applying the decision.
     double invocation_cost_s = 4.0e-3;
     double per_app_cost_s = 2.0e-5;
     DvfsControlLoop::Config dvfs{};
     npu::NpuCostModel npu{};
     npu::CpuInferenceModel cpu_inference{};
-    /// Fleet-engine hook: when set, this governor's NpuDevice defers its
-    /// inference batches to the shared aggregator, which the fleet engine
-    /// flushes once per lockstep tick (one device call covers every lane's
-    /// epoch). Must outlive the governor. nullptr = self-contained device.
+    /// Fleet-engine hook: when set, this governor defers its NPU batches
+    /// to the shared aggregator, which the fleet engine flushes once per
+    /// lockstep tick (one device call covers every lane's epoch). Must
+    /// outlive the governor. nullptr = infer at submit.
     npu::InferenceAggregator* aggregator = nullptr;
   };
 
@@ -45,9 +51,9 @@ class TopIlGovernor : public Governor {
   void reset(SystemSim& sim) override;
   void tick(SystemSim& sim) override;
 
-  /// Checkpoints capture mid-epoch state: the DVFS loop, the NPU device's
-  /// in-flight batch (results are computed eagerly at submit, so the batch
-  /// is plain data), and the pending-job bookkeeping.
+  /// Checkpoints capture mid-epoch state: the DVFS loop and the batch in
+  /// flight (its completion time, ratings and pids; the ratings exist from
+  /// submit, or from the aggregator's flush, so the batch is plain data).
   void save_state(persist::StateWriter& out) const override;
   void restore_state(persist::StateReader& in) override;
 
@@ -64,7 +70,6 @@ class TopIlGovernor : public Governor {
   il::IlPolicyModel model_;
   Config config_;
   npu::CompiledModel compiled_;
-  npu::NpuDevice npu_;
   DvfsControlLoop dvfs_;
 
   double next_migration_ = 0.0;
@@ -72,11 +77,14 @@ class TopIlGovernor : public Governor {
   std::size_t migrations_ = 0;
   std::size_t epochs_started_ = 0;
   std::size_t epochs_deferred_ = 0;
-  nn::Matrix cpu_ratings_;          ///< CPU-fallback output, reused per epoch
-  nn::InferenceWorkspace cpu_ws_;   ///< CPU-fallback inference scratch
+  /// The epoch's ratings: the in-flight NPU batch's result, or the CPU
+  /// fallback's. Reused per epoch, as is the inference scratch.
+  nn::Matrix ratings_;
+  nn::InferenceWorkspace ws_;
 
+  /// The NPU batch in flight: `ratings_` rows belong to `pids`.
   struct PendingJob {
-    npu::NpuDevice::JobId job = 0;
+    double done_at = 0.0;
     std::vector<Pid> pids;
   };
   std::optional<PendingJob> pending_;

@@ -1,7 +1,6 @@
 #include "governors/toprl_governor.hpp"
 
 #include "persist/snapshot.hpp"
-#include "sim/perf_counters.hpp"
 
 namespace topil {
 
@@ -41,42 +40,40 @@ void TopRlGovernor::migration_epoch(SystemSim& sim) {
   const PlatformSpec& platform = sim.platform();
   const std::size_t n_cores = platform.num_cores();
 
-  const std::vector<PerfApi::Sample> samples =
-      PerfApi::read_all(sim, "migration");
+  sim.charge_counter_reads("migration");
+  const std::map<Pid, Process>& processes = sim.processes();
   sim.charge_overhead(
       "migration",
       config_.invocation_cost_s +
-          config_.per_app_cost_s * static_cast<double>(samples.size()));
+          config_.per_app_cost_s * static_cast<double>(processes.size()));
 
   // Reward for the action executed last epoch (Eq. 7), from observable
   // state only: the board temperature sensor and QoS-target checks.
   bool any_violation = false;
   std::vector<bool> occupied(n_cores, false);
-  for (const auto& s : samples) {
-    const Process& proc = sim.process(s.pid);
+  for (const auto& [pid, proc] : processes) {
     occupied[proc.core()] = true;
-    if (s.ips < proc.qos_target_ips()) any_violation = true;
+    if (proc.measured_ips() < proc.qos_target_ips()) any_violation = true;
   }
   const double reward =
       rl::compute_reward(config_.params, sim.sensor_temp_c(), any_violation);
 
   std::vector<rl::RlMigrationController::AppObservation> obs;
-  obs.reserve(samples.size());
+  obs.reserve(processes.size());
   std::vector<std::size_t> levels(platform.num_clusters());
   for (ClusterId x = 0; x < platform.num_clusters(); ++x) {
     levels[x] = sim.vf_level(x);
   }
-  for (const auto& s : samples) {
-    const Process& proc = sim.process(s.pid);
+  for (const auto& [pid, proc] : processes) {
     rl::StateQuantizer::Observation o;
     o.core = proc.core();
-    o.qos_met = s.ips >= proc.qos_target_ips();
-    o.measured_ips = s.ips;
-    o.l2d_rate = s.l2d_rate;
+    o.qos_met = proc.measured_ips() >= proc.qos_target_ips();
+    o.measured_ips = proc.measured_ips();
+    o.l2d_rate = proc.measured_l2d_rate();
     o.vf_levels = levels;
 
     rl::RlMigrationController::AppObservation a;
-    a.pid = s.pid;
+    a.pid = pid;
     a.state = quantizer_.quantize(o);
     a.current_core = proc.core();
     a.allowed_actions.assign(n_cores, false);

@@ -1,10 +1,6 @@
 #include "il/dataset.hpp"
 
-#include <cstdint>
-#include <fstream>
 #include <numeric>
-
-#include "persist/atomic_file.hpp"
 
 namespace topil::il {
 
@@ -55,8 +51,6 @@ nn::Matrix Dataset::labels_matrix() const {
   return m;
 }
 
-void Dataset::shuffle(Rng& rng) { rng.shuffle(examples_); }
-
 Dataset Dataset::sample(std::size_t max_size, Rng& rng) const {
   if (examples_.size() <= max_size) return *this;
   std::vector<std::size_t> order(examples_.size());
@@ -65,86 +59,6 @@ Dataset Dataset::sample(std::size_t max_size, Rng& rng) const {
   Dataset out(feature_width_, label_width_);
   for (std::size_t i = 0; i < max_size; ++i) {
     out.add(examples_[order[i]]);
-  }
-  return out;
-}
-
-namespace {
-constexpr std::uint32_t kDatasetMagic = 0x544f5044u;  // "TOPD"
-// Plausibility bounds mirroring load_model's `n_hidden < 64` guard: the
-// feature extractor emits a few dozen columns, so anything wider is a
-// corrupt header and must not drive an allocation.
-constexpr std::uint64_t kMaxWidth = 1u << 16;
-constexpr std::uint64_t kHeaderBytes = 4 + 3 * 8;
-}  // namespace
-
-void Dataset::save(const std::string& path) const {
-  persist::atomic_write(path, [&](std::ostream& out) {
-    auto write64 = [&](std::uint64_t v) {
-      out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    out.write(reinterpret_cast<const char*>(&kDatasetMagic),
-              sizeof(kDatasetMagic));
-    write64(feature_width_);
-    write64(label_width_);
-    write64(examples_.size());
-    for (const TrainingExample& ex : examples_) {
-      out.write(reinterpret_cast<const char*>(ex.features.data()),
-                static_cast<std::streamsize>(feature_width_ * sizeof(float)));
-      out.write(reinterpret_cast<const char*>(ex.labels.data()),
-                static_cast<std::streamsize>(label_width_ * sizeof(float)));
-    }
-  });
-}
-
-Dataset Dataset::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  TOPIL_REQUIRE(in.good(), "cannot open dataset file: " + path);
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  std::uint32_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  TOPIL_REQUIRE(in.good() && magic == kDatasetMagic,
-                "not a TOP-IL dataset file: " + path);
-  auto read64 = [&]() {
-    std::uint64_t v = 0;
-    in.read(reinterpret_cast<char*>(&v), sizeof(v));
-    TOPIL_REQUIRE(in.good(), "truncated dataset file: " + path);
-    return v;
-  };
-  const auto features = static_cast<std::size_t>(read64());
-  const auto labels = static_cast<std::size_t>(read64());
-  const auto count = static_cast<std::size_t>(read64());
-  TOPIL_REQUIRE(features > 0 && features <= kMaxWidth,
-                "implausible feature width in dataset file: " + path);
-  TOPIL_REQUIRE(labels > 0 && labels <= kMaxWidth,
-                "implausible label width in dataset file: " + path);
-  // Exact-size check before any allocation: the record count must match
-  // the bytes actually present. Rejects truncation, trailing garbage,
-  // and absurd counts (widths are bounded, so the product cannot
-  // overflow u64).
-  const std::uint64_t record_bytes =
-      (static_cast<std::uint64_t>(features) + labels) * sizeof(float);
-  TOPIL_REQUIRE(count <= (file_size - kHeaderBytes) / record_bytes,
-                "implausible example count in dataset file: " + path);
-  TOPIL_REQUIRE(
-      file_size == kHeaderBytes + count * record_bytes,
-      file_size < kHeaderBytes + count * record_bytes
-          ? "truncated dataset file: " + path
-          : "trailing garbage after last record in dataset file: " + path);
-  Dataset out(features, labels);
-  out.examples_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    TrainingExample ex;
-    ex.features.resize(features);
-    ex.labels.resize(labels);
-    in.read(reinterpret_cast<char*>(ex.features.data()),
-            static_cast<std::streamsize>(features * sizeof(float)));
-    in.read(reinterpret_cast<char*>(ex.labels.data()),
-            static_cast<std::streamsize>(labels * sizeof(float)));
-    TOPIL_REQUIRE(in.good(), "truncated dataset file: " + path);
-    out.add(std::move(ex));
   }
   return out;
 }

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -27,16 +26,8 @@ class Dataset {
   nn::Matrix features_matrix() const;
   nn::Matrix labels_matrix() const;
 
-  void shuffle(Rng& rng);
-
   /// Random subsample of at most `max_size` examples (for NAS speed).
   Dataset sample(std::size_t max_size, Rng& rng) const;
-
-  /// Persist to / restore from a self-describing binary file, so the
-  /// (deterministic but non-trivial) oracle extraction can be shared
-  /// between tools without rerunning it.
-  void save(const std::string& path) const;
-  static Dataset load(const std::string& path);
 
  private:
   std::size_t feature_width_;

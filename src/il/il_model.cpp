@@ -46,9 +46,4 @@ nn::Matrix IlPolicyModel::build_batch(
   return features_.extract_batch(inputs);
 }
 
-nn::Matrix IlPolicyModel::rate(
-    const std::vector<FeatureInput>& inputs) const {
-  return model_.predict(build_batch(inputs));
-}
-
 }  // namespace topil::il

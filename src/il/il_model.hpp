@@ -31,11 +31,8 @@ class IlPolicyModel {
  public:
   IlPolicyModel(nn::Mlp model, const PlatformSpec& platform);
 
-  /// Rate all mappings for a batch of per-application feature inputs
-  /// (CPU inference; the run-time governor uses the NPU path instead).
-  nn::Matrix rate(const std::vector<FeatureInput>& inputs) const;
-
-  /// Build the NN input batch without running inference (for NPU offload).
+  /// The NN input batch, one row per application; the governor rates it
+  /// on the NPU, or on the CPU where the platform has none.
   nn::Matrix build_batch(const std::vector<FeatureInput>& inputs) const;
 
   const nn::Mlp& network() const { return model_; }

@@ -10,17 +10,17 @@ namespace topil::npu {
 /// Cross-simulation inference batcher for the fleet engine.
 ///
 /// When many lockstep simulations tick their TOP-IL governors in the same
-/// fleet tick, each governor submits a small per-app inference batch to its
-/// NpuDevice. With an aggregator attached, those devices defer the compute:
-/// they queue (model, input, result slot) here and the fleet engine calls
-/// `flush()` once per tick, after every lane's governor has run. Requests
-/// are grouped by CompiledModel::fingerprint() and each group runs as a
-/// single `infer_batched_into` over the row-concatenated inputs.
+/// fleet tick, each governor submits a small per-app inference batch. With
+/// an aggregator attached, the governors defer the compute: they queue
+/// (model, input, result slot) here and the fleet engine calls `flush()`
+/// once per tick, after every lane's governor has run. Requests are grouped
+/// by CompiledModel::fingerprint() and each group runs as a single
+/// `infer_batched_into` over the row-concatenated inputs.
 ///
 /// Determinism contract: inference is row-independent (each output row is a
 /// function of its input row only; see nn::Mlp::predict_into), so scattering
 /// group results back row-for-row is bit-identical to running each request
-/// alone. Device timing (`done_at`) is computed per request from its own row
+/// alone. NPU timing (`done_at`) is computed per request from its own row
 /// count exactly as in the un-aggregated path, so governor behaviour does
 /// not change either — only where the multiply-accumulates happen.
 ///

@@ -12,10 +12,12 @@ namespace topil::persist {
 /// reader reject truncation, trailing garbage, and bit flips before any
 /// field of the payload is interpreted.
 inline constexpr std::uint32_t kCheckpointMagic = 0x544f5043u;  // "TOPC"
-/// Version 3: random engines are saved as 312 words and a position, not as
-/// decimal text. Older payloads would misparse (version 1 also carries an
-/// NPU busy-until horizon), so the header refuses them.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+/// Version 4: TOP-IL saves its one in-flight NPU batch (completion time,
+/// ratings, pids) where version 3 saved an NPU job table. Version 3 and
+/// older payloads would misparse (versions 1 and 2 also save random
+/// engines as decimal text, and version 1 an NPU busy-until horizon), so
+/// the header refuses them.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// Atomically write `payload` under the TOPC frame (temp file + fsync +
 /// rename; a crash mid-write leaves the previous checkpoint intact).

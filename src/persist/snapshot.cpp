@@ -6,7 +6,6 @@
 #include "governors/dvfs_control.hpp"
 #include "governors/gts.hpp"
 #include "nn/tensor.hpp"
-#include "npu/npu_device.hpp"
 #include "rl/mediator.hpp"
 #include "rl/qtable.hpp"
 #include "sim/metrics.hpp"
@@ -416,33 +415,6 @@ void SnapshotAccess::save(StateWriter& out, const GtsScheduler& scheduler) {
 void SnapshotAccess::restore(StateReader& in, GtsScheduler& scheduler) {
   in.expect_tag("GTS ");
   scheduler.next_run_ = in.f64();
-}
-
-void SnapshotAccess::save(StateWriter& out, const npu::NpuDevice& device) {
-  out.tag("NPU ");
-  out.u64(device.next_id_);
-  out.u64(device.jobs_.size());
-  for (const auto& [id, job] : device.jobs_) {
-    out.u64(id);
-    out.f64(job.done_at);
-    save_matrix(out, job.result);
-  }
-}
-
-void SnapshotAccess::restore(StateReader& in, npu::NpuDevice& device) {
-  in.expect_tag("NPU ");
-  device.next_id_ = in.size();
-  const std::size_t jobs = in.size();
-  TOPIL_REQUIRE(jobs * 16 <= in.remaining(),
-                "snapshot: implausible NPU job count");
-  device.jobs_.clear();
-  for (std::size_t i = 0; i < jobs; ++i) {
-    const npu::NpuDevice::JobId id = in.size();
-    const double done_at = in.f64();
-    nn::Matrix result = restore_matrix(in);
-    device.jobs_.emplace(id,
-                         npu::NpuDevice::Job{done_at, std::move(result)});
-  }
 }
 
 void SnapshotAccess::save(StateWriter& out, const rl::QTable& table) {

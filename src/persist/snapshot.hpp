@@ -16,9 +16,6 @@ class GtsScheduler;
 class Rng;
 struct AppSpec;
 }  // namespace topil
-namespace topil::npu {
-class NpuDevice;
-}
 namespace topil::rl {
 class QTable;
 class RlMigrationController;
@@ -48,9 +45,6 @@ struct SnapshotAccess {
 
   static void save(StateWriter& out, const GtsScheduler& scheduler);
   static void restore(StateReader& in, GtsScheduler& scheduler);
-
-  static void save(StateWriter& out, const npu::NpuDevice& device);
-  static void restore(StateReader& in, npu::NpuDevice& device);
 
   /// Values only; `restore` requires matching dimensions.
   static void save(StateWriter& out, const rl::QTable& table);

@@ -8,21 +8,4 @@ double compute_reward(const RlParams& params, double temp_c,
   return params.reward_base_c - temp_c;
 }
 
-std::size_t epsilon_greedy(const QTable& table, std::size_t state,
-                           const std::vector<bool>& allowed, double epsilon,
-                           Rng& rng) {
-  TOPIL_REQUIRE(epsilon >= 0.0 && epsilon <= 1.0, "epsilon out of range");
-  TOPIL_REQUIRE(allowed.size() == table.num_actions(),
-                "mask width mismatch");
-  if (epsilon > 0.0 && rng.bernoulli(epsilon)) {
-    std::vector<std::size_t> candidates;
-    for (std::size_t a = 0; a < allowed.size(); ++a) {
-      if (allowed[a]) candidates.push_back(a);
-    }
-    TOPIL_REQUIRE(!candidates.empty(), "no allowed action");
-    return candidates[rng.index(candidates.size())];
-  }
-  return table.greedy_action(state, allowed);
-}
-
 }  // namespace topil::rl

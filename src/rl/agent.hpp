@@ -1,11 +1,5 @@
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
-#include "common/rng.hpp"
-#include "rl/qtable.hpp"
-
 namespace topil::rl {
 
 /// Q-learning hyper-parameters (paper Sec. 6.3, following Lu et al.).
@@ -26,10 +20,5 @@ struct RlParams {
 /// Paper Eq. 7: combined scalar reward.
 double compute_reward(const RlParams& params, double temp_c,
                       bool any_qos_violation);
-
-/// Epsilon-greedy action over allowed actions.
-std::size_t epsilon_greedy(const QTable& table, std::size_t state,
-                           const std::vector<bool>& allowed, double epsilon,
-                           Rng& rng);
 
 }  // namespace topil::rl

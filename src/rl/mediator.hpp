@@ -2,7 +2,9 @@
 
 #include <optional>
 
+#include "common/rng.hpp"
 #include "rl/agent.hpp"
+#include "rl/qtable.hpp"
 #include "rl/state.hpp"
 #include "sim/process.hpp"
 

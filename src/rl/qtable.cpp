@@ -11,11 +11,9 @@ namespace topil::rl {
 namespace {
 
 // On-disk format v2: magic + version header in the style of the model
-// ("TOPL") and dataset ("TOPD") files. The original format was two raw
-// u64 dimensions with no validation, so a corrupt header triggered a
-// multi-GB allocation; v2 bounds both dimensions and their product, and
-// `load` keeps a legacy-read fallback (with the same bounds) so
-// artifacts written before the header existed still load.
+// ("TOPL") file. The original format was two raw u64 dimensions with no
+// validation, so a corrupt header triggered a multi-GB allocation; v2
+// bounds both dimensions and their product. Headerless files are refused.
 constexpr std::uint32_t kQTableMagic = 0x544f5051u;  // "TOPQ"
 constexpr std::uint32_t kQTableVersion = 2;
 constexpr std::uint64_t kMaxStates = 1u << 24;
@@ -125,29 +123,16 @@ QTable QTable::load(const std::string& path) {
   in.seekg(0, std::ios::end);
   const std::uint64_t file_size = static_cast<std::uint64_t>(in.tellg());
   in.seekg(0, std::ios::beg);
-  TOPIL_REQUIRE(file_size >= 16, "truncated Q-table file: " + path);
 
-  const auto head = read_pod<std::uint32_t>(in, path);
-  std::uint64_t s = 0;
-  std::uint64_t a = 0;
-  std::uint64_t header_bytes = 0;
-  if (head == kQTableMagic) {
-    const auto version = read_pod<std::uint32_t>(in, path);
-    TOPIL_REQUIRE(version == kQTableVersion,
-                  "unsupported Q-table file version in " + path);
-    s = read_pod<std::uint64_t>(in, path);
-    a = read_pod<std::uint64_t>(in, path);
-    header_bytes = 24;
-  } else {
-    // Legacy (pre-header) format: two raw u64 dimensions. The first u64
-    // of a legacy file is a small state count, which cannot collide with
-    // the magic (kQTableMagic alone exceeds kMaxStates).
-    in.seekg(0, std::ios::beg);
-    s = read_pod<std::uint64_t>(in, path);
-    a = read_pod<std::uint64_t>(in, path);
-    header_bytes = 16;
-  }
+  const auto magic = read_pod<std::uint32_t>(in, path);
+  TOPIL_REQUIRE(magic == kQTableMagic, "not a Q-table file: " + path);
+  const auto version = read_pod<std::uint32_t>(in, path);
+  TOPIL_REQUIRE(version == kQTableVersion,
+                "unsupported Q-table file version in " + path);
+  const auto s = read_pod<std::uint64_t>(in, path);
+  const auto a = read_pod<std::uint64_t>(in, path);
   check_dims(s, a, path);
+  const std::uint64_t header_bytes = 24;
   const std::uint64_t value_bytes = s * a * sizeof(double);
   TOPIL_REQUIRE(
       file_size == header_bytes + value_bytes,

@@ -1,13 +1,15 @@
 #include "scenario/campaign.hpp"
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
-
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "common/parallel_for.hpp"
 #include "persist/state_codec.hpp"
@@ -24,14 +26,62 @@ namespace {
 constexpr std::uint32_t kJournalMeta = 0;
 constexpr std::uint32_t kJournalScenario = 1;
 
-/// Generator fingerprint recorded in the journal's meta record: scenario
-/// streams are (seed, index)-derived, so resuming under different
-/// generation parameters would silently mix two campaigns.
+/// ` name=value`, doubles in their shortest round-trip form, so two
+/// settings print alike only if they are equal.
+template <typename T>
+void put_setting(std::ostream& os, const char* name, T value) {
+  os << ' ' << name << '=';
+  if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    os.write(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr - buf);
+  } else {
+    os << value;
+  }
+}
+
+/// Campaign fingerprint recorded in the journal's meta record: scenarios
+/// are (seed, index, generator)-derived and judged by the oracle
+/// tolerances, so resuming under any other setting would silently mix two
+/// campaigns.
 std::string journal_meta(const CampaignConfig& config) {
   std::ostringstream os;
-  os << "campaign:v1 seed=" << config.seed << " count=" << config.count
+  os << "campaign:v2 seed=" << config.seed << " count=" << config.count
      << " fleet=" << config.fleet_batch << " corpus='" << config.corpus_dir
      << "'";
+  const GeneratorConfig& g = config.generator;
+  put_setting(os, "min_apps", g.min_apps);
+  put_setting(os, "max_apps", g.max_apps);
+  put_setting(os, "min_runtime_s", g.min_runtime_s);
+  put_setting(os, "max_runtime_s", g.max_runtime_s);
+  put_setting(os, "min_qos_fraction", g.min_qos_fraction);
+  put_setting(os, "max_qos_fraction", g.max_qos_fraction);
+  put_setting(os, "min_arrival_rate_per_s", g.min_arrival_rate_per_s);
+  put_setting(os, "max_arrival_rate_per_s", g.max_arrival_rate_per_s);
+  put_setting(os, "min_clusters", g.min_clusters);
+  put_setting(os, "max_clusters", g.max_clusters);
+  put_setting(os, "min_cores_per_cluster", g.min_cores_per_cluster);
+  put_setting(os, "max_cores_per_cluster", g.max_cores_per_cluster);
+  put_setting(os, "p_grid", g.p_grid);
+  put_setting(os, "vf_jitter", g.vf_jitter);
+  put_setting(os, "power_jitter", g.power_jitter);
+  put_setting(os, "p_npu", g.p_npu);
+  put_setting(os, "max_floorplan_jitter", g.max_floorplan_jitter);
+  put_setting(os, "p_no_fan", g.p_no_fan);
+  put_setting(os, "min_ambient_c", g.min_ambient_c);
+  put_setting(os, "max_ambient_c", g.max_ambient_c);
+  put_setting(os, "min_heatsink_g_scale", g.min_heatsink_g_scale);
+  put_setting(os, "max_heatsink_g_scale", g.max_heatsink_g_scale);
+  put_setting(os, "max_substeps_per_tick", g.max_substeps_per_tick);
+  put_setting(os, "max_steady_temp_c", g.max_steady_temp_c);
+  put_setting(os, "max_worst_case_runtime_s", g.max_worst_case_runtime_s);
+  put_setting(os, "max_attempts", g.max_attempts);
+  const OracleTolerances& t = config.tol;
+  put_setting(os, "cross_integrator_tol_c", t.cross_integrator_tol_c);
+  put_setting(os, "avg_temp_tol_c", t.avg_temp_tol_c);
+  put_setting(os, "peak_temp_tol_c", t.peak_temp_tol_c);
+  put_setting(os, "app_ips_rel_tol", t.app_ips_rel_tol);
+  put_setting(os, "steady_margin_c", t.steady_margin_c);
+  put_setting(os, "ips_headroom", t.ips_headroom);
   return os.str();
 }
 
@@ -81,22 +131,45 @@ ScenarioOutcome decode_journal_scenario(const std::string& payload) {
   return out;
 }
 
+/// Minimize a failing scenario (unless shrinking is off or the budget is
+/// spent) and write its reproducer to the corpus directory, if any.
+void finish_failure(const CampaignConfig& config, ScenarioOutcome& out,
+                    bool shrink) {
+  if (shrink) {
+    ShrinkConfig sc;
+    sc.max_runs = config.shrink_budget;
+    sc.tol = config.tol;
+    ShrinkResult shrunk = shrink_scenario(out.spec, sc);
+    out.minimized = std::move(shrunk.spec);
+    out.shrink_runs = shrunk.runs;
+  }
+  if (!config.corpus_dir.empty()) {
+    out.corpus_path = config.corpus_dir + "/fail-" +
+                      std::to_string(config.seed) + "-" +
+                      std::to_string(out.index) + ".scenario";
+    out.minimized.save(out.corpus_path);
+  }
+}
+
 /// Fleet-determinism stage: replay every executed scenario through the
 /// lockstep fleet engine (exponential integrator) and require each lane's
 /// trace digest to reproduce its scalar exponential run bit-for-bit. A
 /// mismatch is a batching bug — cross-lane state leakage, reordered FP
 /// accumulation, or aggregator misrouting — and fails the scenario.
+/// Journal records hold the differential verdict only, so restored
+/// scenarios are replayed too, from specs regenerated by index.
 void run_fleet_stage(const CampaignConfig& config,
                      std::vector<ScenarioOutcome>& outcomes) {
   std::vector<ScenarioOutcome*> executed;
+  std::deque<ScenarioSpec> regenerated;
   std::vector<const ScenarioSpec*> specs;
   for (ScenarioOutcome& out : outcomes) {
-    // Restored outcomes already carry their fleet-stage verdict from the
-    // original run (the journal is written after the fleet stage).
-    if (out.status != ScenarioStatus::Skipped && !out.restored) {
-      executed.push_back(&out);
-      specs.push_back(&out.spec);
-    }
+    if (out.status == ScenarioStatus::Skipped) continue;
+    executed.push_back(&out);
+    specs.push_back(out.restored ? &regenerated.emplace_back(generate_scenario(
+                                       config.seed, out.index,
+                                       config.generator))
+                                 : &out.spec);
   }
   if (executed.empty()) return;
 
@@ -107,6 +180,7 @@ void run_fleet_stage(const CampaignConfig& config,
     if (lanes[i].digest == out.exp_digest && lanes[i].ticks == out.exp_ticks) {
       continue;
     }
+    const bool newly_failed = out.status == ScenarioStatus::Passed;
     out.findings.push_back(
         {"fleet-determinism",
          "fleet replay digest " + validate::digest_hex(lanes[i].digest) +
@@ -116,16 +190,14 @@ void run_fleet_stage(const CampaignConfig& config,
              std::to_string(out.exp_ticks) + " ticks) at batch " +
              std::to_string(config.fleet_batch)});
     out.status = ScenarioStatus::Failed;
+    if (newly_failed) {
+      // Shrinking replays candidates through the scalar differential
+      // runner, so a failure only visible under fleet batching cannot be
+      // minimized by it: the reproducer is the whole scenario.
+      out.minimized = *specs[i];
+      finish_failure(config, out, /*shrink=*/false);
+    }
   }
-}
-
-/// Shrinking replays candidates through the scalar differential runner, so
-/// a failure only visible under fleet batching cannot be minimized by it.
-bool only_fleet_findings(const ScenarioOutcome& out) {
-  for (const Finding& f : out.findings) {
-    if (f.oracle != "fleet-determinism") return false;
-  }
-  return !out.findings.empty();
 }
 
 }  // namespace
@@ -210,14 +282,16 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       if (recorded != meta) {
         // A plain, self-explanatory error rather than TOPIL_REQUIRE: this
         // is an operator mistake (resuming with changed --seed/--count/
-        // --fleet-batch/--corpus-dir), not an internal invariant, and the
-        // macro's [condition] at file:line suffix only obscures the fix.
+        // --fleet-batch/--corpus-dir or generator flags), not an internal
+        // invariant, and the macro's [condition] at file:line suffix only
+        // obscures the fix.
         throw InvalidArgument(
             "journal '" + config.journal_path +
             "' belongs to a different campaign: it records \"" + recorded +
             "\" but this invocation is \"" + meta +
-            "\"; resume with the original seed/count/fleet/corpus settings "
-            "or start a fresh journal without --resume");
+            "\"; resume with the original seed/count/fleet/corpus, "
+            "generator and tolerance settings or start a fresh journal "
+            "without --resume");
       }
       for (std::size_t i = 1; i < recovery.records.size(); ++i) {
         TOPIL_REQUIRE(recovery.records[i].type == kJournalScenario,
@@ -232,6 +306,17 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       }
     }
   }
+
+  // Journal each outcome as soon as it is final: a passing scenario after
+  // its differential run, a failing one once it is shrunk and its
+  // reproducer written. One fsync per scenario makes it durable at once.
+  std::mutex journal_mutex;
+  const auto record = [&](const ScenarioOutcome& out) {
+    if (!journal) return;
+    const std::lock_guard<std::mutex> lock(journal_mutex);
+    journal->append(kJournalScenario, encode_journal_scenario(out));
+    journal->sync();
+  };
 
   CampaignResult result;
   result.outcomes = parallel_map(
@@ -251,6 +336,10 @@ CampaignResult run_campaign(const CampaignConfig& config) {
         out.exp_digest = r.exp_digest;
         out.exp_ticks = r.exp_ticks;
         out.findings = r.findings;
+        if (out.status == ScenarioStatus::Failed) {
+          finish_failure(config, out, config.shrink && !budget_spent());
+        }
+        record(out);
         return out;
       });
 
@@ -274,30 +363,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     }
     digest.u64(out.index);
     digest.u64(out.digest);
-
-    if (out.status == ScenarioStatus::Failed && !out.restored) {
-      if (config.shrink && !budget_spent() && !only_fleet_findings(out)) {
-        ShrinkConfig sc;
-        sc.max_runs = config.shrink_budget;
-        sc.tol = config.tol;
-        ShrinkResult shrunk = shrink_scenario(out.spec, sc);
-        out.minimized = std::move(shrunk.spec);
-        out.shrink_runs = shrunk.runs;
-      }
-      if (!config.corpus_dir.empty()) {
-        out.corpus_path = config.corpus_dir + "/fail-" +
-                          std::to_string(config.seed) + "-" +
-                          std::to_string(out.index) + ".scenario";
-        out.minimized.save(out.corpus_path);
-      }
-    }
-
-    // Journal the outcome once it is final (after the fleet stage and
-    // shrinking); one fsync per scenario makes it durable immediately.
-    if (journal && !out.restored) {
-      journal->append(kJournalScenario, encode_journal_scenario(out));
-      journal->sync();
-    }
   }
   result.campaign_digest = digest.value();
   return result;

@@ -19,7 +19,9 @@ struct CampaignConfig {
   /// the fleet engine (fleet::run_experiments, exponential integrator,
   /// at most `fleet_batch` lanes per engine) and its per-tick digest is
   /// compared against the scalar exponential run. A mismatch fails the
-  /// scenario with a "fleet-determinism" finding. 1 disables the stage.
+  /// scenario with a "fleet-determinism" finding. Journal records carry
+  /// no fleet verdict, so a resumed campaign replays its restored
+  /// scenarios too. 1 disables the stage.
   std::size_t fleet_batch = 1;
   /// Wall-clock budget in seconds; scenarios not started before it
   /// expires are reported as skipped. 0 = unlimited. Note that a bounded
@@ -33,8 +35,11 @@ struct CampaignConfig {
   /// When non-empty, minimized reproducers are serialized here as
   /// fail-<seed>-<index>.scenario.
   std::string corpus_dir;
-  /// Durable campaign journal (persist/wal.hpp): one CRC-framed record per
-  /// completed scenario, fsync'd as it lands. Empty = no journal.
+  /// Durable campaign journal (persist/wal.hpp): a meta record of every
+  /// setting above but `jobs`, `budget_s` and the shrink settings, then
+  /// one CRC-framed record per scenario, appended and fsync'd as soon as
+  /// its differential verdict is final (a failing one after shrinking and
+  /// its reproducer). Empty = no journal.
   std::string journal_path;
   /// Resume from `journal_path`: journaled scenarios are not re-executed —
   /// their recorded outcomes feed the campaign digest, so a killed and
@@ -59,7 +64,8 @@ struct ScenarioOutcome {
   std::size_t shrink_runs = 0;
   std::string corpus_path;        ///< where the reproducer was written
   /// Outcome was replayed from the campaign journal, not executed; `spec`
-  /// and `minimized` are left empty for restored outcomes.
+  /// and `minimized` are left empty for restored outcomes, unless the
+  /// fleet stage fails one (then `minimized` is the regenerated spec).
   bool restored = false;
 };
 
@@ -77,8 +83,9 @@ struct CampaignResult {
   bool ok() const { return failed == 0; }
 };
 
-/// Generate and differentially execute `count` scenarios across the thread
-/// pool, then shrink failures serially and serialize their reproducers.
+/// Generate and differentially execute `count` scenarios across the
+/// worker threads; the worker that finds a failure shrinks it and writes
+/// its reproducer.
 CampaignResult run_campaign(const CampaignConfig& config);
 
 /// Trace digest and tick count of one fleet lane.

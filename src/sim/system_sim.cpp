@@ -135,6 +135,13 @@ void SystemSim::charge_overhead(const std::string& component, double cpu_s,
   metrics_.add_overhead(component, cpu_s);
 }
 
+void SystemSim::charge_counter_reads(const std::string& component) {
+  charge_overhead(component,
+                  kCounterReadFixedS + kCounterReadPerProcessS *
+                                           static_cast<double>(
+                                               processes_.size()));
+}
+
 void SystemSim::npu_busy_for(double duration_s) {
   TOPIL_REQUIRE(duration_s >= 0.0, "duration must be non-negative");
   npu_busy_until_ = std::max(npu_busy_until_, now_ + duration_s);

@@ -122,6 +122,14 @@ class SystemSim {
   void charge_overhead(const std::string& component, double cpu_s,
                        CoreId core = 0);
 
+  /// Modeled cost of one `perf` counter read over every running process
+  /// (the paper's DVFS loop: 0.54 ms per invocation at 16 applications).
+  static constexpr double kCounterReadFixedS = 60e-6;
+  static constexpr double kCounterReadPerProcessS = 30e-6;
+  /// Charge that read to `component` on core 0. Governors call it before
+  /// reading `measured_ips()`/`measured_l2d_rate()` of `processes()`.
+  void charge_counter_reads(const std::string& component);
+
   /// Mark the NPU busy for `duration_s` of wall time (non-blocking call).
   void npu_busy_for(double duration_s);
   bool npu_active() const { return now_ < npu_busy_until_; }

@@ -4,9 +4,6 @@
 
 #include "common/error.hpp"
 
-#include <cstdio>
-#include <fstream>
-
 namespace topil::il {
 namespace {
 
@@ -51,21 +48,6 @@ TEST(Dataset, EmptyMaterializeThrows) {
   EXPECT_THROW(ds.at(0), InvalidArgument);
 }
 
-TEST(Dataset, ShufflePermutes) {
-  Dataset ds(2, 1);
-  for (int i = 0; i < 50; ++i) ds.add(example(static_cast<float>(i)));
-  Rng rng(5);
-  ds.shuffle(rng);
-  bool moved = false;
-  double sum = 0.0;
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    moved |= ds.at(i).features[0] != static_cast<float>(i);
-    sum += ds.at(i).features[0];
-  }
-  EXPECT_TRUE(moved);
-  EXPECT_DOUBLE_EQ(sum, 49.0 * 50.0 / 2.0);  // all elements preserved
-}
-
 TEST(Dataset, SampleCapsSize) {
   Dataset ds(2, 1);
   for (int i = 0; i < 30; ++i) ds.add(example(static_cast<float>(i)));
@@ -81,33 +63,6 @@ TEST(Dataset, AddAllMoves) {
   std::vector<TrainingExample> batch = {example(1), example(2), example(3)};
   ds.add_all(std::move(batch));
   EXPECT_EQ(ds.size(), 3u);
-}
-
-TEST(Dataset, SaveLoadRoundTrip) {
-  Dataset ds(2, 1);
-  for (int i = 0; i < 10; ++i) ds.add(example(static_cast<float>(i)));
-  const std::string path = testing::TempDir() + "/dataset_test.bin";
-  ds.save(path);
-  const Dataset loaded = Dataset::load(path);
-  ASSERT_EQ(loaded.size(), 10u);
-  EXPECT_EQ(loaded.feature_width(), 2u);
-  EXPECT_EQ(loaded.label_width(), 1u);
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(loaded.at(i).features, ds.at(i).features);
-    EXPECT_EQ(loaded.at(i).labels, ds.at(i).labels);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Dataset, LoadRejectsGarbage) {
-  const std::string path = testing::TempDir() + "/dataset_garbage.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not a dataset";
-  }
-  EXPECT_THROW(Dataset::load(path), InvalidArgument);
-  std::remove(path.c_str());
-  EXPECT_THROW(Dataset::load("/nonexistent/ds.bin"), InvalidArgument);
 }
 
 }  // namespace

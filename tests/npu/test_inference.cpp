@@ -1,6 +1,6 @@
 // Bitwise checks of the production inference path (nn::dense_forward_simd
-// behind Mlp, CompiledModel, NpuDevice and InferenceAggregator) against the
-// scalar reference forward (nn::dense_forward_reference per layer).
+// behind Mlp, CompiledModel and InferenceAggregator) against the scalar
+// reference forward (nn::dense_forward_reference per layer).
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include "common/rng.hpp"
 #include "npu/batch_aggregator.hpp"
 #include "npu/compiled_model.hpp"
-#include "npu/npu_device.hpp"
 
 namespace topil::npu {
 namespace {
@@ -106,22 +105,6 @@ TEST(InferencePath, RejectsEmptyBatch) {
   nn::Matrix out;
   nn::InferenceWorkspace ws;
   EXPECT_THROW(compiled.infer_batched_into(empty, out, ws), InvalidArgument);
-}
-
-TEST(InferencePath, DeviceResultBitIdenticalToReference) {
-  // The governor's path: NpuDevice::submit computes the result at submit
-  // time, take_result hands it over once the modeled latency has passed.
-  const nn::Topology topology{21, {64, 64, 64, 64}, 8};
-  const CompiledModel compiled =
-      CompiledModel::compile(make_model(topology, 21));
-  const nn::Matrix input = random_batch(20, topology.inputs, 404);
-
-  NpuDevice device;
-  const auto job = device.submit(compiled, input, 1.0);
-  const nn::Matrix result =
-      device.take_result(job, device.completion_time(job));
-  expect_bits_equal(result, reference_predict(compiled.network(), input),
-                    "device result");
 }
 
 TEST(InferencePath, AggregatedFlushBitIdenticalToReference) {

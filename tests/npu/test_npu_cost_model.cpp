@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
-#include "npu/compiled_model.hpp"
-#include "npu/npu_device.hpp"
 
 namespace topil::npu {
 namespace {
@@ -93,51 +91,6 @@ TEST(NpuCostModel, WeightTrafficIsAmortizedAcrossTheBatch) {
   EXPECT_LT(t16, 1.05 * t1) << "batch 16 should cost nearly the same as "
                                "batch 1 (the paper's constant-overhead "
                                "observation)";
-}
-
-TEST(NpuDeviceCostModel, ConcurrentJobsOverlap) {
-  const nn::Mlp network = [] {
-    nn::Mlp m(kPaperTopology);
-    m.init(1);
-    return m;
-  }();
-  const CompiledModel compiled = CompiledModel::compile(network);
-  nn::Matrix input(4, kPaperTopology.inputs);
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    input.data()[i] = 0.25f;
-  }
-
-  // Jobs do not queue: concurrent tenants each finish one service time
-  // after their own submit.
-  const NpuCostModel cost;
-  const double service = cost.latency_s(kPaperTopology, input.rows());
-  NpuDevice device{cost};
-  const auto a = device.submit(compiled, input, 1.0);
-  const auto b = device.submit(compiled, input, 1.0);
-  EXPECT_DOUBLE_EQ(device.completion_time(a), 1.0 + service);
-  EXPECT_DOUBLE_EQ(device.completion_time(b), 1.0 + service);
-}
-
-TEST(NpuDeviceCostModel, ModelAwareLatencyMatchesSubmitDoneAt) {
-  const nn::Mlp network = [] {
-    nn::Mlp m(kPaperTopology);
-    m.init(2);
-    return m;
-  }();
-  const CompiledModel compiled = CompiledModel::compile(network);
-  nn::Matrix input(7, kPaperTopology.inputs);
-  for (std::size_t i = 0; i < input.size(); ++i) {
-    input.data()[i] = 0.5f;
-  }
-
-  NpuDevice device;
-  const double now = 3.25;
-  const auto job = device.submit(compiled, input, now);
-  // (now + latency) - now re-rounds, so allow the device's own ready()
-  // epsilon; NpuDevice.ReadyAtSubmitTimePlusLatency checks the polling
-  // contract.
-  EXPECT_NEAR(device.completion_time(job) - now,
-              device.latency_s(compiled, input.rows()), 1e-12);
 }
 
 }  // namespace

@@ -81,11 +81,13 @@ TEST(CheckpointFile, TrailingGarbageRejected) {
 
 TEST(CheckpointFile, OlderVersionRefusedByHeader) {
   // Version 1 still carries the NPU busy-until field that version 2
-  // dropped, and both save random engines as decimal text where version 3
-  // saves words; the header refuses them before the payload is read.
+  // dropped, both save random engines as decimal text where version 3
+  // saves words, and all three save an NPU job table where version 4
+  // saves TOP-IL's one in-flight batch; the header refuses them before
+  // the payload is read.
   const std::string dir = scratch_dir("topc_version");
   const std::string path = dir + "/state.ckpt";
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     write_checkpoint_file(path, "payload");
     std::string bytes = read_file(path);
     std::memcpy(bytes.data() + 4, &version, sizeof(version));
@@ -132,7 +134,7 @@ class CheckpointedRunTest : public ::testing::Test {
   std::unique_ptr<Governor> governor(const std::string& name) const {
     if (name == "topil") {
       // Untrained policy: determinism (not quality) is under test, and a
-      // TopIlGovernor exercises the DVFS/NPU/pending-job snapshot path.
+      // TopIlGovernor exercises the DVFS and in-flight batch snapshot path.
       nn::Topology topo;
       topo.inputs = il::FeatureExtractor(platform_).num_features();
       topo.outputs = platform_.num_cores();
@@ -173,7 +175,7 @@ TEST_F(CheckpointedRunTest, UninterruptedRunMatchesPlainDigest) {
 
 TEST_F(CheckpointedRunTest, InterruptedResumeIsBitIdenticalAcrossGovernors) {
   // Each governor family persists different state (schedutil's ramp
-  // history, toprl's Q-table and exploration stream, topil's NPU batch);
+  // history, toprl's Q-table and exploration stream, topil's epoch state);
   // every one must continue bit-identically from a mid-run checkpoint.
   for (const std::string name :
        {"gts-ondemand", "gts-schedutil", "toprl", "topil"}) {
@@ -201,6 +203,33 @@ TEST_F(CheckpointedRunTest, InterruptedResumeIsBitIdenticalAcrossGovernors) {
     EXPECT_TRUE(resumed.resumed);
     EXPECT_EQ(resumed.digest, golden);
   }
+}
+
+TEST_F(CheckpointedRunTest, InFlightTopIlBatchResumesBitIdentically) {
+  // A 7 s cadence lands on the 0.5 s epoch grid, just before an epoch
+  // submits its NPU batch. A 14.005 s cadence lands on the 14.01 s tick,
+  // one tick after the 14 s epoch submitted the batch of four running apps
+  // and while that batch is in flight. The batch's decision is a
+  // migration, so a checkpoint that dropped the batch (completion time,
+  // ratings, pids) would resume onto another trajectory.
+  const std::uint64_t golden = golden_digest("topil", 60.0);
+  const std::string dir = scratch_dir("ck_in_flight");
+  CheckpointOptions options;
+  options.path = dir + "/run.ckpt";
+  options.every_s = 14.005;
+  options.meta = "in-flight topil";
+  {
+    const auto gov = governor("topil");
+    const CheckpointedResult killed = run_experiment_checkpointed(
+        platform_, *gov, workload(), run_config(20.0), options);
+    ASSERT_EQ(killed.checkpoints_written, 1u);
+  }
+  options.resume = true;
+  const auto gov = governor("topil");
+  const CheckpointedResult resumed = run_experiment_checkpointed(
+      platform_, *gov, workload(), run_config(60.0), options);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.digest, golden);
 }
 
 TEST_F(CheckpointedRunTest, ResumeWithMissingFileStartsFresh) {

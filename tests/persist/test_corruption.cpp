@@ -1,16 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <string>
 
 #include "common/error.hpp"
 #include "file_test_util.hpp"
-#include "il/dataset.hpp"
 #include "nn/serialize.hpp"
 #include "rl/qtable.hpp"
 
-// Corruption-injection sweeps over the three persisted artifact formats
-// (model "TOPL", dataset "TOPD", Q-table "TOPQ"): every truncation point
+// Corruption-injection sweeps over the two persisted artifact formats
+// (model "TOPL", Q-table "TOPQ"): every truncation point
 // and every header bit flip must raise a clean error — never UB and never
 // an attempt to honor an implausible dimension with a giant allocation.
 namespace topil {
@@ -21,17 +19,6 @@ using test::flip_bit;
 using test::read_file;
 using test::scratch_dir;
 using test::write_file;
-
-il::Dataset sample_dataset() {
-  il::Dataset data(3, 2);
-  for (float base : {1.0f, 2.0f, 3.0f}) {
-    il::TrainingExample ex;
-    ex.features = {base, base + 0.5f, base + 1.0f};
-    ex.labels = {base * 2.0f, base * 3.0f};
-    data.add(std::move(ex));
-  }
-  return data;
-}
 
 nn::Mlp sample_model() {
   nn::Topology topo;
@@ -81,18 +68,6 @@ void sweep(const std::string& path, std::size_t header_bytes,
   load(path);
 }
 
-TEST(Corruption, DatasetSweep) {
-  const std::string path = scratch_dir("corrupt_dataset") + "/data.bin";
-  sample_dataset().save(path);
-  // Header: u32 magic + u64 feature width + u64 label width + u64 count.
-  sweep(path, 4 + 3 * 8,
-        [](const std::string& p) { (void)il::Dataset::load(p); });
-
-  const il::Dataset back = il::Dataset::load(path);
-  ASSERT_EQ(back.size(), 3u);
-  EXPECT_EQ(back.at(1).features, sample_dataset().at(1).features);
-}
-
 TEST(Corruption, ModelSweep) {
   const std::string path = scratch_dir("corrupt_model") + "/model.bin";
   save_model(sample_model(), path);
@@ -116,49 +91,9 @@ TEST(Corruption, QTableSweep) {
   EXPECT_EQ(back.q(5, 3), 53.0);
 }
 
-TEST(Corruption, QTableLegacyFormatStillLoads) {
-  // Artifacts written before the versioned header: two raw u64
-  // dimensions followed by the values.
-  const std::string path = scratch_dir("qtable_legacy") + "/legacy.bin";
-  const rl::QTable table = sample_qtable();
-  std::string bytes;
-  const auto put = [&bytes](const void* p, std::size_t n) {
-    bytes.append(static_cast<const char*>(p), n);
-  };
-  const std::uint64_t s = 6;
-  const std::uint64_t a = 4;
-  put(&s, sizeof(s));
-  put(&a, sizeof(a));
-  for (std::size_t state = 0; state < 6; ++state) {
-    for (std::size_t action = 0; action < 4; ++action) {
-      const double q = table.q(state, action);
-      put(&q, sizeof(q));
-    }
-  }
-  write_file(path, bytes);
-
-  const rl::QTable back = rl::QTable::load(path);
-  EXPECT_EQ(back.q(0, 0), 0.0);
-  EXPECT_EQ(back.q(5, 3), 53.0);
-
-  // Legacy files get the same hardening: truncation and trailing bytes
-  // are rejected, and an absurd dimension cannot drive an allocation.
-  write_file(path, bytes.substr(0, bytes.size() - 1));
-  EXPECT_THROW(rl::QTable::load(path), Error);
-  write_file(path, bytes + "x");
-  EXPECT_THROW(rl::QTable::load(path), Error);
-  std::string huge = bytes;
-  const std::uint64_t absurd = 1ull << 40;
-  huge.replace(0, sizeof(absurd),
-               reinterpret_cast<const char*>(&absurd), sizeof(absurd));
-  write_file(path, huge);
-  EXPECT_THROW(rl::QTable::load(path), Error);
-}
-
 TEST(Corruption, EmptyFilesRejected) {
   const std::string dir = scratch_dir("corrupt_empty");
   write_file(dir + "/empty.bin", "");
-  EXPECT_THROW(il::Dataset::load(dir + "/empty.bin"), Error);
   EXPECT_THROW(nn::load_model(dir + "/empty.bin"), Error);
   EXPECT_THROW(rl::QTable::load(dir + "/empty.bin"), Error);
 }

@@ -23,52 +23,5 @@ TEST(Reward, CoolerIsAlwaysBetterWhenFeasible) {
             compute_reward(params, 30.0, true));
 }
 
-TEST(EpsilonGreedy, ZeroEpsilonIsGreedy) {
-  QTable table(1, 3, 0.0);
-  table.set_q(0, 2, 9.0);
-  Rng rng(1);
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(epsilon_greedy(table, 0, {true, true, true}, 0.0, rng), 2u);
-  }
-}
-
-TEST(EpsilonGreedy, OneEpsilonIsUniformOverAllowed) {
-  QTable table(1, 3, 0.0);
-  table.set_q(0, 2, 9.0);
-  Rng rng(2);
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 3000; ++i) {
-    counts[epsilon_greedy(table, 0, {true, false, true}, 1.0, rng)]++;
-  }
-  EXPECT_EQ(counts[1], 0);  // masked
-  EXPECT_GT(counts[0], 1200);
-  EXPECT_GT(counts[2], 1200);
-}
-
-TEST(EpsilonGreedy, ExplorationRateApproximatelyEpsilon) {
-  QTable table(1, 4, 0.0);
-  table.set_q(0, 0, 10.0);  // greedy action is 0
-  Rng rng(3);
-  int non_greedy = 0;
-  const int n = 10000;
-  for (int i = 0; i < n; ++i) {
-    if (epsilon_greedy(table, 0, {true, true, true, true}, 0.1, rng) != 0) {
-      ++non_greedy;
-    }
-  }
-  // Exploration picks uniformly among 4 actions: 3/4 of eps leaves greedy.
-  EXPECT_NEAR(static_cast<double>(non_greedy) / n, 0.075, 0.015);
-}
-
-TEST(EpsilonGreedy, ValidatesArguments) {
-  QTable table(1, 2, 0.0);
-  Rng rng(4);
-  EXPECT_THROW(epsilon_greedy(table, 0, {true, true}, 1.5, rng),
-               InvalidArgument);
-  EXPECT_THROW(epsilon_greedy(table, 0, {true}, 0.1, rng), InvalidArgument);
-  EXPECT_THROW(epsilon_greedy(table, 0, {false, false}, 1.0, rng),
-               InvalidArgument);
-}
-
 }  // namespace
 }  // namespace topil::rl

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/app_database.hpp"
-#include "sim/perf_counters.hpp"
+#include "governors/dvfs_control.hpp"
 #include "sim/system_sim.hpp"
 
 namespace topil {
@@ -17,34 +17,39 @@ class PerfProcTest : public ::testing::Test {
 };
 
 TEST_F(PerfProcTest, ReadCostScalesLinearlyWithPids) {
-  EXPECT_DOUBLE_EQ(PerfApi::read_cost_s(0), PerfApi::kFixedReadCostS);
-  EXPECT_NEAR(PerfApi::read_cost_s(16),
-              PerfApi::kFixedReadCostS + 16 * PerfApi::kPerPidReadCostS,
+  for (CoreId c = 0; c < 16; ++c) sim_.spawn(app_, 1e8, c % 8);
+  sim_.charge_counter_reads("dvfs");
+  EXPECT_NEAR(sim_.metrics().overhead_s("dvfs"),
+              SystemSim::kCounterReadFixedS +
+                  16 * SystemSim::kCounterReadPerProcessS,
               1e-12);
   // Paper: ~0.54 ms per DVFS-loop invocation at 16 applications.
-  EXPECT_NEAR(PerfApi::read_cost_s(16), 0.54e-3, 0.1e-3);
+  EXPECT_NEAR(sim_.metrics().overhead_s("dvfs"), 0.54e-3, 0.1e-3);
 }
 
 TEST_F(PerfProcTest, ReadAllReturnsSamplesAndChargesCost) {
+  // One DVFS invocation reads every process's counters and pays one read.
   const Pid a = sim_.spawn(app_, 1e8, 0);
-  const Pid b = sim_.spawn(app_, 1e8, 5);
+  sim_.spawn(app_, 1e8, 5);
   sim_.run_for(0.5);
-  const auto samples = PerfApi::read_all(sim_, "dvfs");
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].pid, a);
-  EXPECT_EQ(samples[1].pid, b);
-  for (const auto& s : samples) {
-    EXPECT_GT(s.ips, 0.0);
-    EXPECT_GT(s.l2d_rate, 0.0);
-    EXPECT_GT(s.instructions, 0.0);
-    EXPECT_NEAR(s.l2d_rate / s.ips, 0.02, 1e-6);
-  }
-  EXPECT_NEAR(sim_.metrics().overhead_s("dvfs"), PerfApi::read_cost_s(2),
-              1e-12);
+  const Process& proc = sim_.process(a);
+  EXPECT_GT(proc.measured_ips(), 0.0);
+  EXPECT_NEAR(proc.measured_l2d_rate() / proc.measured_ips(), 0.02, 1e-6);
+  DvfsControlLoop loop;
+  loop.reset(sim_);
+  loop.tick(sim_);  // due at reset
+  const double one_read = SystemSim::kCounterReadFixedS +
+                          2 * SystemSim::kCounterReadPerProcessS;
+  EXPECT_NEAR(sim_.metrics().overhead_s("dvfs"), one_read, 1e-12);
+  loop.tick(sim_);  // same instant: not due again, no second read
+  EXPECT_NEAR(sim_.metrics().overhead_s("dvfs"), one_read, 1e-12);
 }
 
 TEST_F(PerfProcTest, EmptySystemYieldsEmptyViews) {
-  EXPECT_TRUE(PerfApi::read_all(sim_, "dvfs").empty());
+  EXPECT_TRUE(sim_.processes().empty());
+  sim_.charge_counter_reads("dvfs");  // the fixed cost remains
+  EXPECT_DOUBLE_EQ(sim_.metrics().overhead_s("dvfs"),
+                   SystemSim::kCounterReadFixedS);
 }
 
 }  // namespace

@@ -218,13 +218,26 @@ if [[ "${RECOVERY:-1}" != "0" ]]; then
   fi
   echo "crash-recovery gate OK: run digest $(cat "${rec_tmp}/digest-golden")"
 
+  # The campaign victim is killed once its journal has grown past the meta
+  # record, i.e. right after its first scenario records landed, so the
+  # resume must restore finished scenarios and run the rest. The meta
+  # record's size comes from the same campaign journaled with a budget
+  # that expires before any scenario starts.
   fuzz="${build_dir}/tools/topil_fuzz"
-  fuzz_args=(--seed 11 --count 24 --jobs 2 --no-shrink)
+  fuzz_args=(--seed 11 --count 120 --jobs 2 --no-shrink)
   "${fuzz}" "${fuzz_args[@]}" | tee "${rec_tmp}/fuzz-golden"
+  "${fuzz}" "${fuzz_args[@]}" --budget 0.000001 \
+    --checkpoint "${rec_tmp}/meta-only.wal" >/dev/null
+  meta_bytes="$(stat -c %s "${rec_tmp}/meta-only.wal")"
   "${fuzz}" "${fuzz_args[@]}" --checkpoint "${rec_tmp}/campaign.wal" \
     >/dev/null 2>&1 &
   victim=$!
-  sleep 1
+  for _ in $(seq 1000); do
+    journal_bytes="$(stat -c %s "${rec_tmp}/campaign.wal" 2>/dev/null ||
+                     echo 0)"
+    (( journal_bytes > meta_bytes )) && break
+    sleep 0.005
+  done
   kill -9 "${victim}" 2>/dev/null || true
   wait "${victim}" 2>/dev/null || true
   "${fuzz}" "${fuzz_args[@]}" --checkpoint "${rec_tmp}/campaign.wal" \
@@ -233,13 +246,21 @@ if [[ "${RECOVERY:-1}" != "0" ]]; then
     "${rec_tmp}/fuzz-golden")"
   resumed_digest="$(sed -n 's/.*campaign digest \([0-9a-f]*\).*/\1/p' \
     "${rec_tmp}/fuzz-resumed")"
+  restored="$(sed -n 's/.*(restored \([0-9]*\)).*/\1/p' \
+    "${rec_tmp}/fuzz-resumed")"
   if [[ -z "${golden_digest}" || \
         "${golden_digest}" != "${resumed_digest}" ]]; then
     echo "crash-recovery gate FAILED: resumed campaign digest" \
          "'${resumed_digest}' != golden '${golden_digest}'" >&2
     exit 1
   fi
-  echo "crash-recovery gate OK: campaign digest ${golden_digest}"
+  if (( ${restored:-0} < 1 )); then
+    echo "crash-recovery gate FAILED: the resumed campaign restored no" \
+         "scenario from the killed campaign's journal" >&2
+    exit 1
+  fi
+  echo "crash-recovery gate OK: campaign digest ${golden_digest}," \
+       "${restored} scenario(s) restored"
 fi
 
 if [[ "${FLEET:-1}" != "0" ]]; then
@@ -306,8 +327,8 @@ if [[ "${SERVER:-1}" != "0" ]]; then
   # Each topil_stress and topil_serve run below takes seconds. A stalled
   # shard must fail the stage instead of hanging CI: SIGTERM at the 120 s
   # bound ends a run, topil_serve's --drain wait included, and SIGKILL
-  # follows 10 s later for a process stuck past it. The kill -9 victim is
-  # bounded by its kill 0.4 s in.
+  # follows 10 s later for a process stuck past it. The kill -9 victim's
+  # runner kills it after its first checkpoint, or at the same 120 s.
   bounded=(timeout -k 10 120)
 
   echo "== server protocol fuzz (corruption sweep under sanitizers)"
@@ -387,21 +408,43 @@ if [[ "${SERVER:-1}" != "0" ]]; then
   rm -rf "${srv_tmp}"
   mkdir -p "${srv_tmp}"
   serve="${build_dir}/tools/topil_serve"
+  # A 51-tick cadence puts every device's first TOP-IL batch (epoch 1,
+  # where every device migrates) in flight at the first checkpoint, and
+  # the victim is killed right after shard 0 wrote it (a Python runner
+  # reads the fleet tick that follows the checkpoint's meta string), so
+  # at least that shard resumes from batches in flight. A fixed sleep let
+  # the victim finish before the kill on a fast host, and a 25- or 37-tick
+  # cadence never saves a batch whose decision migrates.
   serve_args=(--shards 4 --seed-devices 64 --device-seed 2024
-              --device-duration 20 --epoch-ticks 50 --checkpoint-every 25
+              --device-duration 20 --epoch-ticks 50 --checkpoint-every 51
               --validate)
   "${bounded[@]}" "${serve}" "${serve_args[@]}" \
     --state-dir "${srv_tmp}/golden" --drain \
     --dump-digests "${srv_tmp}/digests-golden"
 
-  "${serve}" "${serve_args[@]}" --state-dir "${srv_tmp}/killed" --drain \
-    >/dev/null 2>&1 &
-  victim=$!
-  sleep 0.4
-  kill -9 "${victim}" 2>/dev/null || true
-  wait "${victim}" 2>/dev/null || true
+  python3 - "${srv_tmp}/killed/shard0.ckpt" 51 "${serve}" \
+    "${serve_args[@]}" --state-dir "${srv_tmp}/killed" --drain <<'EOF'
+import struct, subprocess, sys, time
+path, tick, cmd = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+victim = subprocess.Popen(cmd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+deadline = time.monotonic() + 120
+while victim.poll() is None and time.monotonic() < deadline:
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        # TOPC header (20 B), "SSHD", u64 meta length, meta, u64 fleet tick.
+        meta_len = struct.unpack_from("<Q", data, 24)[0]
+        if struct.unpack_from("<Q", data, 32 + meta_len)[0] >= tick:
+            break
+    except (OSError, struct.error):
+        pass
+    time.sleep(0.0002)
+victim.kill()
+victim.wait()
+EOF
   "${bounded[@]}" "${serve}" --shards 4 --epoch-ticks 50 \
-    --checkpoint-every 25 --validate --state-dir "${srv_tmp}/killed" \
+    --checkpoint-every 51 --validate --state-dir "${srv_tmp}/killed" \
     --resume --drain \
     --dump-digests "${srv_tmp}/digests-resumed"
   if ! diff "${srv_tmp}/digests-golden" "${srv_tmp}/digests-resumed"; then

@@ -363,9 +363,14 @@ int fuzz(const Options& opt) {
     }
   }
 
+  std::size_t restored = 0;
+  for (const ScenarioOutcome& out : result.outcomes) {
+    restored += out.restored ? 1 : 0;
+  }
   std::printf(
-      "executed %zu, failed %zu, skipped %zu; campaign digest %s\n",
-      result.executed, result.failed, result.skipped,
+      "executed %zu (restored %zu), failed %zu, skipped %zu; campaign "
+      "digest %s\n",
+      result.executed, restored, result.failed, result.skipped,
       validate::digest_hex(result.campaign_digest).c_str());
   if (!opt.digest_out.empty()) {
     std::ofstream out(opt.digest_out);
