@@ -331,13 +331,13 @@ void BM_TickStateDigest(benchmark::State& state) {
 BENCHMARK(BM_TickStateDigest)->Arg(1)->Arg(12);
 
 // The simulator record a shard checkpoint holds per served device: the
-// 13-node BM_TickStateDigest device through SnapshotAccess::save.
+// 13-node BM_TickStateDigest device through SnapshotAccess::fields.
 void BM_DeviceSnapshotSave(benchmark::State& state) {
   const RunningDevice device(1);
   std::size_t bytes = 0;
   for (auto _ : state) {
     persist::StateWriter out;
-    persist::SnapshotAccess::save(out, device.sim);
+    persist::SnapshotAccess::fields(out, device.sim);
     bytes = out.buffer().size();
     benchmark::DoNotOptimize(out.buffer().data());
     benchmark::ClobberMemory();

@@ -124,14 +124,18 @@ void GtsGovernor::tick(SystemSim& sim) {
   freq_policy_->tick(sim);
 }
 
+template <typename Io, typename Self>
+void GtsGovernor::fields(Io& io, Self& self) {
+  persist::SnapshotAccess::fields(io, self.scheduler_);
+  persist::hook_fields(io, *self.freq_policy_);
+}
+
 void GtsGovernor::save_state(persist::StateWriter& out) const {
-  persist::SnapshotAccess::save(out, scheduler_);
-  freq_policy_->save_state(out);
+  fields(out, *this);
 }
 
 void GtsGovernor::restore_state(persist::StateReader& in) {
-  persist::SnapshotAccess::restore(in, scheduler_);
-  freq_policy_->restore_state(in);
+  fields(in, *this);
 }
 
 }  // namespace topil

@@ -76,6 +76,9 @@ class GtsGovernor : public Governor {
  private:
   GtsScheduler scheduler_;
   std::unique_ptr<FreqPolicy> freq_policy_;
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self);
 };
 
 }  // namespace topil

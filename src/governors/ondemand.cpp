@@ -16,14 +16,18 @@ OndemandPolicy::OndemandPolicy(Config config) : config_(config) {
 
 void OndemandPolicy::reset(SystemSim& sim) { next_run_ = sim.now(); }
 
+template <typename Io, typename Self>
+void OndemandPolicy::fields(Io& io, Self& self) {
+  io.tag("OND ");
+  io.f64(self.next_run_);
+}
+
 void OndemandPolicy::save_state(persist::StateWriter& out) const {
-  out.tag("OND ");
-  out.f64(next_run_);
+  fields(out, *this);
 }
 
 void OndemandPolicy::restore_state(persist::StateReader& in) {
-  in.expect_tag("OND ");
-  next_run_ = in.f64();
+  fields(in, *this);
 }
 
 void OndemandPolicy::tick(SystemSim& sim) {

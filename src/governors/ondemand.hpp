@@ -29,6 +29,9 @@ class OndemandPolicy : public FreqPolicy {
  private:
   Config config_;
   double next_run_ = 0.0;
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self);
 };
 
 }  // namespace topil

@@ -17,19 +17,19 @@ void SchedutilPolicy::reset(SystemSim& sim) {
   last_change_.assign(sim.platform().num_clusters(), -1e9);
 }
 
+template <typename Io, typename Self>
+void SchedutilPolicy::fields(Io& io, Self& self) {
+  io.tag("SCU ");
+  io.f64(self.next_run_);
+  persist::fixed_seq(io, self.last_change_, "schedutil cluster");
+}
+
 void SchedutilPolicy::save_state(persist::StateWriter& out) const {
-  out.tag("SCU ");
-  out.f64(next_run_);
-  out.vec_f64(last_change_);
+  fields(out, *this);
 }
 
 void SchedutilPolicy::restore_state(persist::StateReader& in) {
-  in.expect_tag("SCU ");
-  next_run_ = in.f64();
-  const std::vector<double> last_change = in.vec_f64();
-  TOPIL_REQUIRE(last_change.size() == last_change_.size(),
-                "snapshot: schedutil cluster count does not match");
-  last_change_ = last_change;
+  fields(in, *this);
 }
 
 void SchedutilPolicy::tick(SystemSim& sim) {

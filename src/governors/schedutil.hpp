@@ -34,6 +34,9 @@ class SchedutilPolicy : public FreqPolicy {
   Config config_;
   double next_run_ = 0.0;
   std::vector<double> last_change_;
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self);
 };
 
 /// GTS scheduling paired with schedutil.

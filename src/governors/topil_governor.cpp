@@ -118,39 +118,28 @@ void TopIlGovernor::finish_migration_epoch(SystemSim& sim,
   }
 }
 
+template <typename Io, typename Self>
+void TopIlGovernor::fields(Io& io, Self& self) {
+  io.tag("TIL ");
+  persist::SnapshotAccess::fields(io, self.dvfs_);
+  io.f64(self.next_migration_);
+  io.boolean(self.epoch_deferred_);
+  io.u64(self.migrations_);
+  io.u64(self.epochs_started_);
+  io.u64(self.epochs_deferred_);
+  io.optional(self.pending_, [&](auto& pending) {
+    io.f64(pending.done_at);
+    persist::SnapshotAccess::fields(io, self.ratings_);
+    io.seq(pending.pids);
+  });
+}
+
 void TopIlGovernor::save_state(persist::StateWriter& out) const {
-  out.tag("TIL ");
-  persist::SnapshotAccess::save(out, dvfs_);
-  out.f64(next_migration_);
-  out.boolean(epoch_deferred_);
-  out.u64(migrations_);
-  out.u64(epochs_started_);
-  out.u64(epochs_deferred_);
-  out.boolean(pending_.has_value());
-  if (pending_) {
-    out.f64(pending_->done_at);
-    persist::save_matrix(out, ratings_);
-    out.vec_size(pending_->pids);
-  }
+  fields(out, *this);
 }
 
 void TopIlGovernor::restore_state(persist::StateReader& in) {
-  in.expect_tag("TIL ");
-  persist::SnapshotAccess::restore(in, dvfs_);
-  next_migration_ = in.f64();
-  epoch_deferred_ = in.boolean();
-  migrations_ = in.size();
-  epochs_started_ = in.size();
-  epochs_deferred_ = in.size();
-  if (in.boolean()) {
-    PendingJob pending;
-    pending.done_at = in.f64();
-    ratings_ = persist::restore_matrix(in);
-    pending.pids = in.vec_size();
-    pending_ = std::move(pending);
-  } else {
-    pending_.reset();
-  }
+  fields(in, *this);
 }
 
 void TopIlGovernor::tick(SystemSim& sim) {

@@ -92,6 +92,10 @@ class TopIlGovernor : public Governor {
   void start_migration_epoch(SystemSim& sim);
   void finish_migration_epoch(SystemSim& sim, const nn::Matrix& ratings,
                               const std::vector<Pid>& pids);
+  /// The checkpointed state: saved from a const governor, restored into a
+  /// mutable one.
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self);
 };
 
 }  // namespace topil

@@ -92,22 +92,22 @@ void TopRlGovernor::migration_epoch(SystemSim& sim) {
   }
 }
 
+template <typename Io, typename Self>
+void TopRlGovernor::fields(Io& io, Self& self) {
+  io.tag("TRL ");
+  persist::SnapshotAccess::fields(io, self.table_);
+  persist::SnapshotAccess::fields(io, self.controller_);
+  persist::SnapshotAccess::fields(io, self.dvfs_);
+  io.f64(self.next_migration_);
+  io.u64(self.migrations_);
+}
+
 void TopRlGovernor::save_state(persist::StateWriter& out) const {
-  out.tag("TRL ");
-  persist::SnapshotAccess::save(out, table_);
-  persist::SnapshotAccess::save(out, controller_);
-  persist::SnapshotAccess::save(out, dvfs_);
-  out.f64(next_migration_);
-  out.u64(migrations_);
+  fields(out, *this);
 }
 
 void TopRlGovernor::restore_state(persist::StateReader& in) {
-  in.expect_tag("TRL ");
-  persist::SnapshotAccess::restore(in, table_);
-  persist::SnapshotAccess::restore(in, controller_);
-  persist::SnapshotAccess::restore(in, dvfs_);
-  next_migration_ = in.f64();
-  migrations_ = in.size();
+  fields(in, *this);
 }
 
 void TopRlGovernor::tick(SystemSim& sim) {

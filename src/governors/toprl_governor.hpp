@@ -55,6 +55,8 @@ class TopRlGovernor : public Governor {
   std::size_t migrations_ = 0;
 
   void migration_epoch(SystemSim& sim);
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self);
 };
 
 }  // namespace topil

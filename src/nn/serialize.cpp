@@ -1,7 +1,6 @@
 #include "nn/serialize.hpp"
 
 #include <cstdint>
-#include <fstream>
 
 #include "persist/atomic_file.hpp"
 
@@ -18,99 +17,74 @@ constexpr std::uint32_t kVersion = 1;
 constexpr std::uint64_t kMaxDim = 1u << 20;
 constexpr std::uint64_t kMaxParams = 1u << 26;
 
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-T read_pod(std::ifstream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  TOPIL_REQUIRE(in.good(), "truncated model file");
-  return value;
+/// The model file: magic, version, then the model's fields.
+template <typename Io>
+void file_fields(Io& io, persist::Ref<Io, Topology> topo,
+                 persist::Ref<Io, std::vector<float>> weights) {
+  std::uint32_t magic = kMagic;
+  std::uint32_t version = kVersion;
+  io.u32(magic);
+  io.u32(version);
+  if constexpr (Io::kReading) {
+    TOPIL_REQUIRE(magic == kMagic, "not a TOP-IL model file");
+    TOPIL_REQUIRE(version == kVersion, "unsupported model file version");
+  }
+  model_fields(io, topo, weights);
 }
 
 }  // namespace
 
-void save_model(const Mlp& model, const std::string& path) {
-  persist::atomic_write(path, [&](std::ostream& out) {
-    write_pod(out, kMagic);
-    write_pod(out, kVersion);
-    const auto& topo = model.topology();
-    write_pod(out, static_cast<std::uint64_t>(topo.inputs));
-    write_pod(out, static_cast<std::uint64_t>(topo.outputs));
-    write_pod(out, static_cast<std::uint64_t>(topo.hidden.size()));
+template <typename Io>
+void model_fields(Io& io, persist::Ref<Io, Topology> topo,
+                  persist::Ref<Io, std::vector<float>> weights) {
+  io.u64(topo.inputs);
+  io.u64(topo.outputs);
+  if constexpr (Io::kReading) {
+    TOPIL_REQUIRE(topo.inputs > 0 && topo.inputs <= kMaxDim,
+                  "implausible model input width");
+    TOPIL_REQUIRE(topo.outputs > 0 && topo.outputs <= kMaxDim,
+                  "implausible model output width");
+  }
+  io.seq(topo.hidden);
+  // The parameter count the bounded dimensions give: each term is at most
+  // 2^40 and there are < 66 of them, so the sum cannot overflow.
+  std::uint64_t params = 0;
+  if constexpr (Io::kReading) {
+    TOPIL_REQUIRE(topo.hidden.size() < 64, "implausible hidden layer count");
+    std::uint64_t prev = topo.inputs;
     for (std::size_t h : topo.hidden) {
-      write_pod(out, static_cast<std::uint64_t>(h));
+      TOPIL_REQUIRE(h > 0 && h <= kMaxDim, "implausible hidden layer width");
+      params += prev * h + h;
+      prev = h;
     }
-    const std::vector<float> weights = model.save_weights();
-    write_pod(out, static_cast<std::uint64_t>(weights.size()));
-    out.write(reinterpret_cast<const char*>(weights.data()),
-              static_cast<std::streamsize>(weights.size() * sizeof(float)));
-  });
+    params += prev * topo.outputs + topo.outputs;
+    TOPIL_REQUIRE(params <= kMaxParams, "implausible model size");
+  }
+  io.seq(weights);
+  if constexpr (Io::kReading) {
+    TOPIL_REQUIRE(weights.size() == params,
+                  "weight count does not match topology");
+  }
+}
+
+template void model_fields(persist::StateWriter&, const Topology&,
+                           const std::vector<float>&);
+template void model_fields(persist::StateReader&, Topology&,
+                           std::vector<float>&);
+
+void save_model(const Mlp& model, const std::string& path) {
+  persist::StateWriter out;
+  file_fields(out, model.topology(), model.save_weights());
+  persist::atomic_write(path, out.buffer());
 }
 
 Mlp load_model(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  TOPIL_REQUIRE(in.good(), "cannot open model file: " + path);
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-
-  TOPIL_REQUIRE(read_pod<std::uint32_t>(in) == kMagic,
-                "not a TOP-IL model file: " + path);
-  TOPIL_REQUIRE(read_pod<std::uint32_t>(in) == kVersion,
-                "unsupported model file version: " + path);
-
   Topology topo;
-  topo.inputs = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  topo.outputs = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  TOPIL_REQUIRE(topo.inputs > 0 && topo.inputs <= kMaxDim,
-                "implausible model input width in " + path);
-  TOPIL_REQUIRE(topo.outputs > 0 && topo.outputs <= kMaxDim,
-                "implausible model output width in " + path);
-  const auto n_hidden = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  TOPIL_REQUIRE(n_hidden < 64, "implausible hidden layer count");
-  for (std::size_t i = 0; i < n_hidden; ++i) {
-    const auto h = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-    TOPIL_REQUIRE(h > 0 && h <= kMaxDim,
-                  "implausible hidden layer width in " + path);
-    topo.hidden.push_back(h);
-  }
-
-  // Expected parameter count from the (bounded) header alone: each term
-  // is at most 2^40 and there are < 66 of them, so the u64 sum cannot
-  // overflow. Validating it against the exact file size before the model
-  // is constructed rejects truncation, trailing garbage, and implausible
-  // allocations in one check.
-  std::uint64_t expected_params = 0;
-  std::uint64_t prev = topo.inputs;
-  for (std::size_t h : topo.hidden) {
-    expected_params += prev * h + h;
-    prev = h;
-  }
-  expected_params += prev * topo.outputs + topo.outputs;
-  TOPIL_REQUIRE(expected_params <= kMaxParams,
-                "implausible model size in " + path);
-
-  const auto n_weights = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-  TOPIL_REQUIRE(n_weights == expected_params,
-                "weight count does not match topology in " + path);
-  const std::uint64_t header_bytes = static_cast<std::uint64_t>(in.tellg());
-  TOPIL_REQUIRE(
-      file_size == header_bytes + n_weights * sizeof(float),
-      file_size < header_bytes + n_weights * sizeof(float)
-          ? "truncated model file: " + path
-          : "trailing garbage after weights in model file: " + path);
-
+  std::vector<float> weights;
+  persist::parse_file(path, "model file", [&](persist::StateReader& in) {
+    file_fields(in, topo, weights);
+  });
   Mlp model(topo);
-  TOPIL_REQUIRE(n_weights == model.num_params(),
-                "weight count does not match topology in " + path);
-  std::vector<float> weights(n_weights);
-  in.read(reinterpret_cast<char*>(weights.data()),
-          static_cast<std::streamsize>(n_weights * sizeof(float)));
-  TOPIL_REQUIRE(in.good(), "truncated model file: " + path);
   model.load_weights(weights);
   return model;
 }

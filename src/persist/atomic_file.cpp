@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 
 #include "common/error.hpp"
 
@@ -64,6 +65,21 @@ void atomic_write(const std::string& path,
   AtomicFileWriter writer(path);
   fill(writer.stream());
   writer.commit();
+}
+
+void atomic_write(const std::string& path, std::string_view bytes) {
+  atomic_write(path, [&](std::ostream& out) {
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  });
+}
+
+std::string read_file(const std::string& path, const std::string& what) {
+  std::ifstream in(path, std::ios::binary);
+  TOPIL_REQUIRE(in.is_open(), "cannot open " + what + ": " + path);
+  std::string bytes{std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>()};
+  TOPIL_REQUIRE(!in.bad(), "cannot read " + what + ": " + path);
+  return bytes;
 }
 
 void fsync_file(const std::string& path) {

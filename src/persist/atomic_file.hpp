@@ -3,6 +3,9 @@
 #include <fstream>
 #include <functional>
 #include <string>
+#include <string_view>
+
+#include "persist/state_codec.hpp"
 
 namespace topil::persist {
 
@@ -41,6 +44,27 @@ class AtomicFileWriter {
 /// Writes `fill(stream)` to `path` atomically (see AtomicFileWriter).
 void atomic_write(const std::string& path,
                   const std::function<void(std::ostream&)>& fill);
+/// Writes `bytes` to `path` atomically.
+void atomic_write(const std::string& path, std::string_view bytes);
+
+/// The whole of `path`; throws InvalidArgument, naming `what` and the
+/// path, when it cannot be read.
+std::string read_file(const std::string& path, const std::string& what);
+
+/// Parses the whole of `path` with `parse(StateReader&)`, which must use
+/// every byte. Every error names `what` and the path.
+template <typename Parse>
+void parse_file(const std::string& path, const std::string& what,
+                Parse&& parse) {
+  const std::string bytes = read_file(path, what);
+  try {
+    StateReader in(bytes);
+    parse(in);
+    in.require_done();
+  } catch (const InvalidArgument& e) {
+    throw InvalidArgument(what + " " + path + ": " + e.what());
+  }
+}
 
 /// fsync(2) an existing file by path. Throws InvalidArgument on failure.
 void fsync_file(const std::string& path);

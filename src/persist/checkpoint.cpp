@@ -8,8 +8,6 @@
 #include "persist/atomic_file.hpp"
 #include "persist/crc32.hpp"
 #include "persist/snapshot.hpp"
-#include "persist/state_codec.hpp"
-#include "validate/digest_monitor.hpp"
 
 namespace topil::persist {
 
@@ -75,43 +73,34 @@ std::string read_checkpoint_file(const std::string& path) {
 
 namespace {
 
-std::string encode_checkpoint(const CheckpointOptions& options,
-                              const Governor& governor,
-                              const ExperimentRun& run,
-                              const validate::DigestMonitor& monitor) {
-  StateWriter out;
-  out.tag("CKPT");
-  out.str(options.meta);
-  out.str(governor.name());
-  out.u64(run.next_arrival());
-  out.u64(monitor.digest());
-  out.u64(monitor.ticks());
-  SnapshotAccess::save(out, run.sim());
-  governor.save_state(out);
-  return out.take_buffer();
-}
-
-void decode_checkpoint(const std::string& payload,
-                       const CheckpointOptions& options, Governor& governor,
-                       ExperimentRun& run, validate::DigestMonitor& monitor) {
-  StateReader in(payload);
-  in.expect_tag("CKPT");
-  const std::string meta = in.str();
-  TOPIL_REQUIRE(meta == options.meta,
-                "checkpoint was taken under a different configuration "
-                "(recorded meta '" +
-                    meta + "', expected '" + options.meta + "')");
-  const std::string governor_name = in.str();
-  TOPIL_REQUIRE(governor_name == governor.name(),
-                "checkpoint was taken under governor '" + governor_name +
-                    "', not '" + governor.name() + "'");
-  run.set_next_arrival(in.size());
-  const std::uint64_t digest_state = in.u64();
-  const std::uint64_t digest_ticks = in.u64();
-  SnapshotAccess::restore(in, run.sim());
-  governor.restore_state(in);
-  in.require_done();
-  monitor.resume_from(digest_state, digest_ticks);
+/// The CKPT record: the run's configuration fingerprint and governor,
+/// its arrival cursor and digest chain, the simulator, the governor.
+template <typename Io>
+void checkpoint_fields(Io& io, const CheckpointOptions& options,
+                       Ref<Io, Governor> governor, Ref<Io, ExperimentRun> run,
+                       Ref<Io, validate::DigestMonitor> monitor) {
+  io.tag("CKPT");
+  std::string meta = options.meta;
+  io.str(meta);
+  if constexpr (Io::kReading) {
+    TOPIL_REQUIRE(meta == options.meta,
+                  "checkpoint was taken under a different configuration "
+                  "(recorded meta '" +
+                      meta + "', expected '" + options.meta + "')");
+  }
+  std::string governor_name = governor.name();
+  io.str(governor_name);
+  if constexpr (Io::kReading) {
+    TOPIL_REQUIRE(governor_name == governor.name(),
+                  "checkpoint was taken under governor '" + governor_name +
+                      "', not '" + governor.name() + "'");
+  }
+  std::size_t next_arrival = run.next_arrival();
+  io.u64(next_arrival);
+  if constexpr (Io::kReading) run.set_next_arrival(next_arrival);
+  digest_fields(io, monitor);
+  SnapshotAccess::fields(io, run.sim());
+  hook_fields(io, governor);
 }
 
 }  // namespace
@@ -136,8 +125,10 @@ CheckpointedResult run_experiment_checkpointed(
 
   CheckpointedResult out;
   if (options.resume && std::filesystem::exists(options.path)) {
-    decode_checkpoint(read_checkpoint_file(options.path), options, governor,
-                      run, monitor);
+    const std::string payload = read_checkpoint_file(options.path);
+    StateReader in(payload);
+    checkpoint_fields(in, options, governor, run, monitor);
+    in.require_done();
     out.resumed = true;
   }
 
@@ -152,8 +143,9 @@ CheckpointedResult run_experiment_checkpointed(
       do {
         next_checkpoint += options.every_s;
       } while (sim.now() + 1e-9 >= next_checkpoint);
-      write_checkpoint_file(options.path,
-                            encode_checkpoint(options, governor, run, monitor));
+      StateWriter payload;
+      checkpoint_fields(payload, options, governor, run, monitor);
+      write_checkpoint_file(options.path, payload.buffer());
       ++out.checkpoints_written;
     }
     if (!run.step()) break;

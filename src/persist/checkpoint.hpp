@@ -4,6 +4,8 @@
 #include <string>
 
 #include "core/experiment.hpp"
+#include "persist/state_codec.hpp"
+#include "validate/digest_monitor.hpp"
 
 namespace topil::persist {
 
@@ -27,6 +29,16 @@ void write_checkpoint_file(const std::string& path,
 /// Read and verify a TOPC file; returns the payload. Throws InvalidArgument
 /// on bad magic/version, size mismatch, or CRC failure.
 std::string read_checkpoint_file(const std::string& path);
+
+/// A run's chained trace digest: its hash state and tick count.
+template <typename Io>
+void digest_fields(Io& io, Ref<Io, validate::DigestMonitor> monitor) {
+  std::uint64_t digest = monitor.digest();
+  std::uint64_t ticks = monitor.ticks();
+  io.u64(digest);
+  io.u64(ticks);
+  if constexpr (Io::kReading) monitor.resume_from(digest, ticks);
+}
 
 /// Periodic checkpointing of an experiment run.
 struct CheckpointOptions {

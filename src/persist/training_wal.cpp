@@ -3,39 +3,71 @@
 #include <filesystem>
 #include <utility>
 
+#include "nn/serialize.hpp"
 #include "persist/state_codec.hpp"
 
 namespace topil::persist {
 
 namespace {
 
-std::string encode_meta(const std::string& meta, std::size_t feature_width,
-                        std::size_t label_width) {
+/// TWML: the training configuration's fingerprint and dataset shape. A
+/// reader requires both to match the run's.
+template <typename Io>
+void meta_record(Io& io, const std::string& path, const std::string& meta,
+                 std::size_t feature_width, std::size_t label_width) {
+  io.tag("TWML");
+  std::string recorded = meta;
+  io.str(recorded);
+  if constexpr (Io::kReading) {
+    TOPIL_REQUIRE(recorded == meta,
+                  "training WAL was written under a different configuration "
+                  "(recorded meta '" +
+                      recorded + "', expected '" + meta + "'): " + path);
+  }
+  std::size_t fw = feature_width;
+  std::size_t lw = label_width;
+  io.u64(fw);
+  io.u64(lw);
+  if constexpr (Io::kReading) {
+    TOPIL_REQUIRE(fw == feature_width && lw == label_width,
+                  "training WAL dataset shape does not match: " + path);
+  }
+}
+
+std::string encode_meta(const std::string& path, const std::string& meta,
+                        std::size_t feature_width, std::size_t label_width) {
   StateWriter out;
-  out.tag("TWML");
-  out.str(meta);
-  out.u64(feature_width);
-  out.u64(label_width);
+  meta_record(out, path, meta, feature_width, label_width);
   return out.take_buffer();
 }
 
-void check_meta(const WalRecord& record, const std::string& path,
-                const std::string& meta, std::size_t feature_width,
-                std::size_t label_width) {
-  TOPIL_REQUIRE(record.type == kTrainingWalMeta,
-                "training WAL does not start with a meta record: " + path);
-  StateReader in(record.payload);
-  in.expect_tag("TWML");
-  const std::string recorded = in.str();
-  TOPIL_REQUIRE(recorded == meta,
-                "training WAL was written under a different configuration "
-                "(recorded meta '" +
-                    recorded + "', expected '" + meta + "'): " + path);
-  const std::size_t fw = in.size();
-  const std::size_t lw = in.size();
-  TOPIL_REQUIRE(fw == feature_width && lw == label_width,
-                "training WAL dataset shape does not match: " + path);
-  in.require_done();
+/// TWEX: one iteration's new examples.
+template <typename Io>
+void examples_record(Io& io,
+                     Ref<Io, std::vector<il::TrainingExample>> examples) {
+  io.tag("TWEX");
+  io.seq(examples, [&](auto& example) {
+    io.seq(example.features);
+    io.seq(example.labels);
+  });
+}
+
+/// TWMD: the iteration's model.
+template <typename Io>
+void model_record(Io& io, Ref<Io, nn::Topology> topo,
+                  Ref<Io, std::vector<float>> weights) {
+  io.tag("TWMD");
+  nn::model_fields(io, topo, weights);
+}
+
+/// TWIT: the commit point of an iteration.
+template <typename Io>
+void iteration_record(Io& io, Ref<Io, TrainingWalIteration> stats) {
+  io.tag("TWIT");
+  io.u64(stats.iteration);
+  io.u64(stats.new_examples);
+  io.u64(stats.total_examples);
+  io.f64(stats.validation_loss);
 }
 
 TrainingRecovery replay(const WalRecovery& wal, const std::string& path,
@@ -43,7 +75,11 @@ TrainingRecovery replay(const WalRecovery& wal, const std::string& path,
                         std::size_t label_width) {
   TOPIL_REQUIRE(!wal.records.empty(),
                 "training WAL has no records: " + path);
-  check_meta(wal.records.front(), path, meta, feature_width, label_width);
+  TOPIL_REQUIRE(wal.records.front().type == kTrainingWalMeta,
+                "training WAL does not start with a meta record: " + path);
+  StateReader head(wal.records.front().payload);
+  meta_record(head, path, meta, feature_width, label_width);
+  head.require_done();
 
   TrainingRecovery out{il::Dataset(feature_width, label_width),
                        std::nullopt,
@@ -63,40 +99,27 @@ TrainingRecovery replay(const WalRecovery& wal, const std::string& path,
     StateReader in(record.payload);
     switch (record.type) {
       case kTrainingWalExamples: {
-        in.expect_tag("TWEX");
-        const std::size_t count = in.size();
-        TOPIL_REQUIRE(count <= in.remaining() / sizeof(float),
-                      "implausible example count in training WAL: " + path);
-        for (std::size_t k = 0; k < count; ++k) {
-          il::TrainingExample example;
-          example.features = in.vec_f32();
-          example.labels = in.vec_f32();
+        std::vector<il::TrainingExample> examples;
+        examples_record(in, examples);
+        in.require_done();
+        for (il::TrainingExample& example : examples) {
           TOPIL_REQUIRE(example.features.size() == feature_width &&
                             example.labels.size() == label_width,
                         "example shape mismatch in training WAL: " + path);
           pending_examples.push_back(std::move(example));
         }
-        in.require_done();
         break;
       }
       case kTrainingWalModel: {
-        in.expect_tag("TWMD");
         nn::Topology topo;
-        topo.inputs = in.size();
-        topo.outputs = in.size();
-        topo.hidden = in.vec_size();
-        pending_weights = in.vec_f32();
-        pending_topology = topo;
+        model_record(in, topo, pending_weights);
         in.require_done();
+        pending_topology = topo;
         break;
       }
       case kTrainingWalIterationEnd: {
-        in.expect_tag("TWIT");
         TrainingWalIteration stats;
-        stats.iteration = in.size();
-        stats.new_examples = in.size();
-        stats.total_examples = in.size();
-        stats.validation_loss = in.f64();
+        iteration_record(in, stats);
         in.require_done();
         out.dataset.add_all(std::move(pending_examples));
         pending_examples.clear();
@@ -126,7 +149,7 @@ TrainingWal TrainingWal::create(const std::string& path,
                                 std::size_t label_width) {
   WalWriter writer = WalWriter::create(path);
   writer.append(kTrainingWalMeta,
-                encode_meta(meta, feature_width, label_width));
+                encode_meta(path, meta, feature_width, label_width));
   writer.sync();
   return TrainingWal(std::move(writer));
 }
@@ -145,7 +168,7 @@ TrainingWal TrainingWal::resume(const std::string& path,
     // create (open_for_append restarts a headerless file).
     WalWriter writer = WalWriter::open_for_append(path);
     writer.append(kTrainingWalMeta,
-                  encode_meta(meta, feature_width, label_width));
+                  encode_meta(path, meta, feature_width, label_width));
     writer.sync();
     if (recovery != nullptr) {
       *recovery = TrainingRecovery{il::Dataset(feature_width, label_width),
@@ -191,34 +214,20 @@ TrainingWal TrainingWal::resume(const std::string& path,
 void TrainingWal::append_examples(
     const std::vector<il::TrainingExample>& examples) {
   StateWriter out;
-  out.tag("TWEX");
-  out.u64(examples.size());
-  for (const il::TrainingExample& example : examples) {
-    out.vec_f32(example.features);
-    out.vec_f32(example.labels);
-  }
-  writer_.append(kTrainingWalExamples, out.take_buffer());
+  examples_record(out, examples);
+  writer_.append(kTrainingWalExamples, out.buffer());
 }
 
 void TrainingWal::append_model(const nn::Mlp& model) {
   StateWriter out;
-  out.tag("TWMD");
-  const nn::Topology& topo = model.topology();
-  out.u64(topo.inputs);
-  out.u64(topo.outputs);
-  out.vec_size(topo.hidden);
-  out.vec_f32(model.save_weights());
-  writer_.append(kTrainingWalModel, out.take_buffer());
+  model_record(out, model.topology(), model.save_weights());
+  writer_.append(kTrainingWalModel, out.buffer());
 }
 
 void TrainingWal::append_iteration_end(const TrainingWalIteration& stats) {
   StateWriter out;
-  out.tag("TWIT");
-  out.u64(stats.iteration);
-  out.u64(stats.new_examples);
-  out.u64(stats.total_examples);
-  out.f64(stats.validation_loss);
-  writer_.append(kTrainingWalIterationEnd, out.take_buffer());
+  iteration_record(out, stats);
+  writer_.append(kTrainingWalIterationEnd, out.buffer());
   writer_.sync();
 }
 

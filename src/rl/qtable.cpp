@@ -1,7 +1,6 @@
 #include "rl/qtable.hpp"
 
 #include <cstdint>
-#include <fstream>
 #include <limits>
 
 #include "persist/atomic_file.hpp"
@@ -19,26 +18,6 @@ constexpr std::uint32_t kQTableVersion = 2;
 constexpr std::uint64_t kMaxStates = 1u << 24;
 constexpr std::uint64_t kMaxActions = 1u << 12;
 constexpr std::uint64_t kMaxEntries = 1u << 27;
-
-template <typename T>
-T read_pod(std::ifstream& in, const std::string& path) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof(T));
-  TOPIL_REQUIRE(in.good(), "truncated Q-table file: " + path);
-  return value;
-}
-
-void check_dims(std::uint64_t s, std::uint64_t a, const std::string& path) {
-  TOPIL_REQUIRE(s > 0 && s <= kMaxStates,
-                "implausible Q-table state count in " + path);
-  TOPIL_REQUIRE(a > 0 && a <= kMaxActions,
-                "implausible Q-table action count in " + path);
-  // Bounded dims cannot overflow u64 in the product; bound the entry
-  // count so a plausible-looking pair still cannot demand an absurd
-  // allocation.
-  TOPIL_REQUIRE(s * a <= kMaxEntries,
-                "implausible Q-table size in " + path);
-}
 
 }  // namespace
 
@@ -102,48 +81,48 @@ void QTable::update_terminal(std::size_t state, std::size_t action,
   values_[i] += alpha * (reward - values_[i]);
 }
 
+template <typename Io, typename Self>
+void QTable::file_fields(Io& io, Self& table) {
+  std::uint32_t magic = kQTableMagic;
+  std::uint32_t version = kQTableVersion;
+  io.u32(magic);
+  io.u32(version);
+  if constexpr (Io::kReading) {
+    TOPIL_REQUIRE(magic == kQTableMagic, "not a Q-table file");
+    TOPIL_REQUIRE(version == kQTableVersion,
+                  "unsupported Q-table file version");
+  }
+  io.u64(table.num_states_);
+  io.u64(table.num_actions_);
+  if constexpr (Io::kReading) {
+    const std::size_t s = table.num_states_;
+    const std::size_t a = table.num_actions_;
+    TOPIL_REQUIRE(s > 0 && s <= kMaxStates,
+                  "implausible Q-table state count");
+    TOPIL_REQUIRE(a > 0 && a <= kMaxActions,
+                  "implausible Q-table action count");
+    // Bounded dims cannot overflow in the product; bound the entry count
+    // so a plausible-looking pair still cannot demand an absurd
+    // allocation, and by the bytes left before sizing the table.
+    TOPIL_REQUIRE(s * a <= kMaxEntries &&
+                      s * a <= io.remaining() / sizeof(double),
+                  "implausible Q-table size");
+    table.values_.resize(s * a);
+  }
+  io.array(table.values_.data(), table.values_.size());
+}
+
 void QTable::save(const std::string& path) const {
-  persist::atomic_write(path, [&](std::ostream& out) {
-    const std::uint64_t s = num_states_;
-    const std::uint64_t a = num_actions_;
-    out.write(reinterpret_cast<const char*>(&kQTableMagic),
-              sizeof(kQTableMagic));
-    out.write(reinterpret_cast<const char*>(&kQTableVersion),
-              sizeof(kQTableVersion));
-    out.write(reinterpret_cast<const char*>(&s), sizeof(s));
-    out.write(reinterpret_cast<const char*>(&a), sizeof(a));
-    out.write(reinterpret_cast<const char*>(values_.data()),
-              static_cast<std::streamsize>(values_.size() * sizeof(double)));
-  });
+  persist::StateWriter out;
+  file_fields(out, *this);
+  persist::atomic_write(path, out.buffer());
 }
 
 QTable QTable::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  TOPIL_REQUIRE(in.good(), "cannot open Q-table file: " + path);
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-
-  const auto magic = read_pod<std::uint32_t>(in, path);
-  TOPIL_REQUIRE(magic == kQTableMagic, "not a Q-table file: " + path);
-  const auto version = read_pod<std::uint32_t>(in, path);
-  TOPIL_REQUIRE(version == kQTableVersion,
-                "unsupported Q-table file version in " + path);
-  const auto s = read_pod<std::uint64_t>(in, path);
-  const auto a = read_pod<std::uint64_t>(in, path);
-  check_dims(s, a, path);
-  const std::uint64_t header_bytes = 24;
-  const std::uint64_t value_bytes = s * a * sizeof(double);
-  TOPIL_REQUIRE(
-      file_size == header_bytes + value_bytes,
-      file_size < header_bytes + value_bytes
-          ? "truncated Q-table file: " + path
-          : "trailing garbage after values in Q-table file: " + path);
-  QTable table(static_cast<std::size_t>(s), static_cast<std::size_t>(a));
-  in.read(reinterpret_cast<char*>(table.values_.data()),
-          static_cast<std::streamsize>(table.values_.size() *
-                                       sizeof(double)));
-  TOPIL_REQUIRE(in.good(), "truncated Q-table file: " + path);
+  QTable table(1, 1);
+  persist::parse_file(path, "Q-table file", [&](persist::StateReader& in) {
+    file_fields(in, table);
+  });
   return table;
 }
 

@@ -53,6 +53,9 @@ class QTable {
   std::vector<double> values_;
 
   std::size_t index(std::size_t state, std::size_t action) const;
+  /// The file `save` writes and `load` reads.
+  template <typename Io, typename Self>
+  static void file_fields(Io& io, Self& table);
 };
 
 }  // namespace topil::rl

@@ -85,50 +85,51 @@ std::string journal_meta(const CampaignConfig& config) {
   return os.str();
 }
 
-std::string encode_journal_meta(const std::string& meta) {
-  persist::StateWriter out;
-  out.tag("CJML");
-  out.str(meta);
-  return out.take_buffer();
+/// CJML: the campaign's fingerprint. A reader refuses another campaign's
+/// journal.
+template <typename Io>
+void meta_record(Io& io, const std::string& path, const std::string& meta) {
+  io.tag("CJML");
+  std::string recorded = meta;
+  io.str(recorded);
+  if constexpr (Io::kReading) {
+    if (recorded != meta) {
+      // A plain, self-explanatory error rather than TOPIL_REQUIRE: this
+      // is an operator mistake (resuming with changed --seed/--count/
+      // --fleet-batch/--corpus-dir or generator flags), not an internal
+      // invariant, and the macro's [condition] at file:line suffix only
+      // obscures the fix.
+      throw InvalidArgument(
+          "journal '" + path +
+          "' belongs to a different campaign: it records \"" + recorded +
+          "\" but this invocation is \"" + meta +
+          "\"; resume with the original seed/count/fleet/corpus, "
+          "generator and tolerance settings or start a fresh journal "
+          "without --resume");
+    }
+  }
 }
 
-std::string encode_journal_scenario(const ScenarioOutcome& out) {
-  persist::StateWriter w;
-  w.tag("CJSC");
-  w.u64(out.index);
-  w.u8(out.status == ScenarioStatus::Failed ? 1 : 0);
-  w.u64(out.digest);
-  w.u64(out.ticks);
-  w.u64(out.exp_digest);
-  w.u64(out.exp_ticks);
-  w.u64(out.findings.size());
-  for (const Finding& f : out.findings) {
-    w.str(f.oracle);
-    w.str(f.detail);
+/// CJSC: one scenario's differential verdict. A restored outcome keeps
+/// no spec: the fleet stage regenerates it by index.
+template <typename Io>
+void scenario_record(Io& io, persist::Ref<Io, ScenarioOutcome> out) {
+  io.tag("CJSC");
+  io.u64(out.index);
+  bool failed = out.status == ScenarioStatus::Failed;
+  io.boolean(failed);
+  if constexpr (Io::kReading) {
+    out.status = failed ? ScenarioStatus::Failed : ScenarioStatus::Passed;
+    out.restored = true;
   }
-  return w.take_buffer();
-}
-
-ScenarioOutcome decode_journal_scenario(const std::string& payload) {
-  persist::StateReader in(payload);
-  in.expect_tag("CJSC");
-  ScenarioOutcome out;
-  out.index = in.u64();
-  out.status = in.u8() != 0 ? ScenarioStatus::Failed : ScenarioStatus::Passed;
-  out.digest = in.u64();
-  out.ticks = in.u64();
-  out.exp_digest = in.u64();
-  out.exp_ticks = in.u64();
-  const std::size_t findings = in.size();
-  for (std::size_t i = 0; i < findings; ++i) {
-    Finding f;
-    f.oracle = in.str();
-    f.detail = in.str();
-    out.findings.push_back(std::move(f));
-  }
-  in.require_done();
-  out.restored = true;
-  return out;
+  io.u64(out.digest);
+  io.u64(out.ticks);
+  io.u64(out.exp_digest);
+  io.u64(out.exp_ticks);
+  io.seq(out.findings, [&](auto& finding) {
+    io.str(finding.oracle);
+    io.str(finding.detail);
+  });
 }
 
 /// Minimize a failing scenario (unless shrinking is off or the budget is
@@ -157,7 +158,7 @@ void finish_failure(const CampaignConfig& config, ScenarioOutcome& out,
 /// mismatch is a batching bug — cross-lane state leakage, reordered FP
 /// accumulation, or aggregator misrouting — and fails the scenario.
 /// Journal records hold the differential verdict only, so restored
-/// scenarios are replayed too, from specs regenerated by index.
+/// scenarios are replayed too. Every spec is regenerated by index.
 void run_fleet_stage(const CampaignConfig& config,
                      std::vector<ScenarioOutcome>& outcomes) {
   std::vector<ScenarioOutcome*> executed;
@@ -166,10 +167,8 @@ void run_fleet_stage(const CampaignConfig& config,
   for (ScenarioOutcome& out : outcomes) {
     if (out.status == ScenarioStatus::Skipped) continue;
     executed.push_back(&out);
-    specs.push_back(out.restored ? &regenerated.emplace_back(generate_scenario(
-                                       config.seed, out.index,
-                                       config.generator))
-                                 : &out.spec);
+    specs.push_back(&regenerated.emplace_back(
+        generate_scenario(config.seed, out.index, config.generator)));
   }
   if (executed.empty()) return;
 
@@ -268,7 +267,9 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       journal.emplace(persist::WalWriter::create(config.journal_path));
     }
     if (recovery.records.empty()) {
-      journal->append(kJournalMeta, encode_journal_meta(meta));
+      persist::StateWriter out;
+      meta_record(out, config.journal_path, meta);
+      journal->append(kJournalMeta, out.buffer());
       journal->sync();
     } else {
       const persist::WalRecord& head = recovery.records.front();
@@ -276,29 +277,16 @@ CampaignResult run_campaign(const CampaignConfig& config) {
                     "campaign journal does not start with a meta record: " +
                         config.journal_path);
       persist::StateReader in(head.payload);
-      in.expect_tag("CJML");
-      const std::string recorded = in.str();
+      meta_record(in, config.journal_path, meta);
       in.require_done();
-      if (recorded != meta) {
-        // A plain, self-explanatory error rather than TOPIL_REQUIRE: this
-        // is an operator mistake (resuming with changed --seed/--count/
-        // --fleet-batch/--corpus-dir or generator flags), not an internal
-        // invariant, and the macro's [condition] at file:line suffix only
-        // obscures the fix.
-        throw InvalidArgument(
-            "journal '" + config.journal_path +
-            "' belongs to a different campaign: it records \"" + recorded +
-            "\" but this invocation is \"" + meta +
-            "\"; resume with the original seed/count/fleet/corpus, "
-            "generator and tolerance settings or start a fresh journal "
-            "without --resume");
-      }
       for (std::size_t i = 1; i < recovery.records.size(); ++i) {
         TOPIL_REQUIRE(recovery.records[i].type == kJournalScenario,
                       "unknown campaign journal record type: " +
                           config.journal_path);
-        ScenarioOutcome out =
-            decode_journal_scenario(recovery.records[i].payload);
+        persist::StateReader record(recovery.records[i].payload);
+        ScenarioOutcome out;
+        scenario_record(record, out);
+        record.require_done();
         TOPIL_REQUIRE(out.index < config.count,
                       "campaign journal scenario index out of range: " +
                           config.journal_path);
@@ -313,8 +301,10 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   std::mutex journal_mutex;
   const auto record = [&](const ScenarioOutcome& out) {
     if (!journal) return;
+    persist::StateWriter payload;
+    scenario_record(payload, out);
     const std::lock_guard<std::mutex> lock(journal_mutex);
-    journal->append(kJournalScenario, encode_journal_scenario(out));
+    journal->append(kJournalScenario, payload.buffer());
     journal->sync();
   };
 
@@ -327,9 +317,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
           return it->second;  // replayed, not re-executed
         }
         if (budget_spent()) return out;  // Skipped
-        out.spec = generate_scenario(config.seed, i, config.generator);
-        out.minimized = out.spec;
-        const DifferentialResult r = run_differential(out.spec, config.tol);
+        ScenarioSpec spec = generate_scenario(config.seed, i, config.generator);
+        const DifferentialResult r = run_differential(spec, config.tol);
         out.status = r.ok() ? ScenarioStatus::Passed : ScenarioStatus::Failed;
         out.digest = r.digest;
         out.ticks = r.ticks;
@@ -337,6 +326,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
         out.exp_ticks = r.exp_ticks;
         out.findings = r.findings;
         if (out.status == ScenarioStatus::Failed) {
+          out.minimized = spec;
+          out.spec = std::move(spec);
           finish_failure(config, out, config.shrink && !budget_spent());
         }
         record(out);

@@ -59,13 +59,16 @@ struct ScenarioOutcome {
   std::uint64_t exp_digest = 0;
   std::uint64_t exp_ticks = 0;
   std::vector<Finding> findings;  ///< of the original (unshrunk) scenario
-  ScenarioSpec spec;              ///< the generated scenario
-  ScenarioSpec minimized;         ///< == spec unless shrinking ran
+  /// The generated scenario and its reproducer (== spec unless shrinking
+  /// ran), kept for a failing scenario only: a passing or restored one
+  /// leaves both empty, and whoever needs its spec regenerates it by
+  /// index. A scenario only the fleet stage fails gets `minimized`, the
+  /// regenerated spec.
+  ScenarioSpec spec;
+  ScenarioSpec minimized;
   std::size_t shrink_runs = 0;
   std::string corpus_path;        ///< where the reproducer was written
-  /// Outcome was replayed from the campaign journal, not executed; `spec`
-  /// and `minimized` are left empty for restored outcomes, unless the
-  /// fleet stage fails one (then `minimized` is the regenerated spec).
+  /// Outcome was replayed from the campaign journal, not executed.
   bool restored = false;
 };
 

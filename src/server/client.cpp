@@ -27,16 +27,17 @@ ServiceClient::ServiceClient(std::unique_ptr<ByteStream> stream)
 void ServiceClient::register_device(std::uint64_t device_id,
                                     const std::string& scenario_text) {
   stream_->write(encode_frame(MsgType::kRegister,
-                              encode_register({device_id, scenario_text})));
+                              encode(RegisterMsg{device_id, scenario_text})));
 }
 
 void ServiceClient::deregister_device(std::uint64_t device_id) {
   stream_->write(
-      encode_frame(MsgType::kDeregister, encode_deregister({device_id})));
+      encode_frame(MsgType::kDeregister, encode(DeregisterMsg{device_id})));
 }
 
 void ServiceClient::request_stats() {
-  stream_->write(encode_frame(MsgType::kStatsRequest, encode_stats_request()));
+  stream_->write(
+      encode_frame(MsgType::kStatsRequest, encode(StatsRequestMsg{})));
 }
 
 std::size_t ServiceClient::poll(std::vector<ClientEvent>& out) {
@@ -52,19 +53,19 @@ std::size_t ServiceClient::poll(std::vector<ClientEvent>& out) {
       ev.recv_ns = now_ns;
       switch (frame->type) {
         case MsgType::kRegisterAck:
-          ev.ack = decode_register_ack(frame->payload);
+          ev.ack = decode<RegisterAckMsg>(frame->payload);
           break;
         case MsgType::kAction:
-          ev.action = decode_action(frame->payload);
+          ev.action = decode<ActionMsg>(frame->payload);
           break;
         case MsgType::kRetire:
-          ev.retire = decode_retire(frame->payload);
+          ev.retire = decode<RetireMsg>(frame->payload);
           break;
         case MsgType::kStatsReply:
-          ev.stats = decode_stats_reply(frame->payload);
+          ev.stats = decode<StatsReplyMsg>(frame->payload);
           break;
         case MsgType::kError:
-          ev.error = decode_error(frame->payload);
+          ev.error = decode<ErrorMsg>(frame->payload);
           break;
         default:
           throw InvalidArgument("unexpected server frame type " +

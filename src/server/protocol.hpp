@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "persist/state_codec.hpp"
 #include "validate/state_digest.hpp"
 
 namespace topil::server {
@@ -20,7 +21,8 @@ namespace topil::server {
 /// interpreted; the length is bounded by kMaxFramePayload, so a corrupt
 /// length can never trigger a large allocation. Message payloads reuse the
 /// persist StateWriter/StateReader codec (4-char section tags, length
-/// bounds against remaining bytes, trailing-garbage rejection).
+/// bounds against remaining bytes, trailing-garbage rejection): a payload
+/// is the message's tag, then its field list, `fields`.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 2;
 inline constexpr std::size_t kFrameTrailerBytes = 4;
 inline constexpr std::size_t kMaxFramePayload = 1u << 20;
@@ -45,13 +47,27 @@ enum class MsgType : std::uint16_t {
 };
 
 struct RegisterMsg {
+  static constexpr char kTag[] = "SREG";
   std::uint64_t device_id = 0;
   std::string scenario_text;
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.device_id);
+    io.str(m.scenario_text);
+  }
 };
 
 struct RegisterAckMsg {
+  static constexpr char kTag[] = "SACK";
   std::uint64_t device_id = 0;
   std::uint64_t shard = 0;
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.device_id);
+    io.u64(m.shard);
+  }
 };
 
 /// One migration+DVFS action epoch for a device: the complete control
@@ -60,6 +76,7 @@ struct RegisterAckMsg {
 /// steady-clock stamp for client-side latency percentiles; it is the one
 /// field excluded from action digests (see fold_action).
 struct ActionMsg {
+  static constexpr char kTag[] = "SACT";
   std::uint64_t device_id = 0;
   std::uint64_t seq = 0;     ///< per-device action counter, from 0
   std::uint64_t tick = 0;    ///< simulator tick index at sampling
@@ -71,21 +88,60 @@ struct ActionMsg {
     std::uint64_t core = 0;
   };
   std::vector<Placement> placements;  ///< ascending pid
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.device_id);
+    io.u64(m.seq);
+    io.u64(m.tick);
+    io.f64(m.sim_time_s);
+    io.u64(m.sent_ns);
+    io.seq(m.vf_levels);
+    io.seq(m.placements, [&](auto& p) {
+      io.u64(p.pid);
+      io.u64(p.core);
+    });
+  }
 };
 
 struct RetireMsg {
+  static constexpr char kTag[] = "SRET";
   std::uint64_t device_id = 0;
   std::uint64_t digest = 0;  ///< chained per-tick state digest of the run
   std::uint64_t ticks = 0;
   std::uint64_t actions = 0;        ///< action epochs emitted
   std::uint64_t action_digest = 0;  ///< chained fold_action digest
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.device_id);
+    io.u64(m.digest);
+    io.u64(m.ticks);
+    io.u64(m.actions);
+    io.u64(m.action_digest);
+  }
 };
 
 struct DeregisterMsg {
+  static constexpr char kTag[] = "SDRG";
   std::uint64_t device_id = 0;
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.device_id);
+  }
+};
+
+/// No fields: the tag is the request.
+struct StatsRequestMsg {
+  static constexpr char kTag[] = "SSTQ";
+
+  template <typename Io, typename Self>
+  static void fields(Io&, Self&) {}
 };
 
 struct StatsReplyMsg {
+  static constexpr char kTag[] = "SSTR";
   std::uint64_t devices_registered = 0;
   std::uint64_t devices_live = 0;
   std::uint64_t devices_retired = 0;
@@ -94,11 +150,30 @@ struct StatsReplyMsg {
   std::uint64_t npu_rows = 0;
   std::uint64_t npu_device_calls = 0;
   std::uint64_t invariant_violations = 0;
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.devices_registered);
+    io.u64(m.devices_live);
+    io.u64(m.devices_retired);
+    io.u64(m.actions_sent);
+    io.u64(m.fleet_ticks);
+    io.u64(m.npu_rows);
+    io.u64(m.npu_device_calls);
+    io.u64(m.invariant_violations);
+  }
 };
 
 struct ErrorMsg {
+  static constexpr char kTag[] = "SERR";
   std::uint64_t device_id = 0;  ///< 0 when not about a specific device
   std::string message;
+
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& m) {
+    io.u64(m.device_id);
+    io.str(m.message);
+  }
 };
 
 /// A decoded frame: the type plus its raw payload (still codec-encoded).
@@ -133,34 +208,27 @@ class FrameReader {
   std::size_t pos_ = 0;
 };
 
-// --- message codecs ---
-// encode_* returns the frame-ready payload; decode_* validates the section
-// tag, every field bound, and trailing bytes, throwing InvalidArgument on
-// anything malformed.
+/// The frame-ready payload of `m`: `tag` (the message's own, or a log
+/// record's that holds the same fields), then the message's fields.
+template <typename Msg>
+std::string encode(const Msg& m, const char (&tag)[5] = Msg::kTag) {
+  persist::StateWriter out;
+  out.tag(tag);
+  Msg::fields(out, m);
+  return out.take_buffer();
+}
 
-std::string encode_register(const RegisterMsg& m);
-RegisterMsg decode_register(std::string_view payload);
-
-std::string encode_register_ack(const RegisterAckMsg& m);
-RegisterAckMsg decode_register_ack(std::string_view payload);
-
-std::string encode_action(const ActionMsg& m);
-ActionMsg decode_action(std::string_view payload);
-
-std::string encode_retire(const RetireMsg& m);
-RetireMsg decode_retire(std::string_view payload);
-
-std::string encode_deregister(const DeregisterMsg& m);
-DeregisterMsg decode_deregister(std::string_view payload);
-
-std::string encode_stats_request();
-void decode_stats_request(std::string_view payload);
-
-std::string encode_stats_reply(const StatsReplyMsg& m);
-StatsReplyMsg decode_stats_reply(std::string_view payload);
-
-std::string encode_error(const ErrorMsg& m);
-ErrorMsg decode_error(std::string_view payload);
+/// Parses a payload `encode` wrote; throws InvalidArgument on another
+/// tag, a field out of bounds, or trailing bytes.
+template <typename Msg>
+Msg decode(std::string_view payload, const char (&tag)[5] = Msg::kTag) {
+  persist::StateReader in(payload);
+  in.tag(tag);
+  Msg m;
+  Msg::fields(in, m);
+  in.require_done();
+  return m;
+}
 
 /// Fold an action epoch into a device's chained action digest. Everything
 /// the governor decided is covered — device, seq, tick, simulated time, VF

@@ -120,20 +120,20 @@ StatsReplyMsg GovernorServer::stats() const {
 bool GovernorServer::dispatch(Client& client, Frame&& frame) {
   switch (frame.type) {
     case MsgType::kRegister: {
-      RegisterMsg msg = decode_register(frame.payload);
+      auto msg = decode<RegisterMsg>(frame.payload);
       const std::size_t k = msg.device_id % shards_.size();
       shards_[k]->enqueue_register(std::move(msg), client.conn);
       return true;
     }
     case MsgType::kDeregister: {
-      const DeregisterMsg msg = decode_deregister(frame.payload);
+      const auto msg = decode<DeregisterMsg>(frame.payload);
       shards_[msg.device_id % shards_.size()]->enqueue_deregister(
           msg.device_id);
       return true;
     }
     case MsgType::kStatsRequest: {
-      decode_stats_request(frame.payload);
-      client.conn->send(MsgType::kStatsReply, encode_stats_reply(stats()));
+      decode<StatsRequestMsg>(frame.payload);
+      client.conn->send(MsgType::kStatsReply, encode(stats()));
       return true;
     }
     default:
@@ -141,7 +141,7 @@ bool GovernorServer::dispatch(Client& client, Frame&& frame) {
       // a protocol violation.
       client.conn->send(
           MsgType::kError,
-          encode_error(ErrorMsg{
+          encode(ErrorMsg{
               0, "unexpected client frame type " +
                      std::to_string(static_cast<unsigned>(frame.type))}));
       return false;
@@ -194,8 +194,7 @@ void GovernorServer::io_loop() {
       } catch (const std::exception& e) {
         // Corrupt frame: tell the client why (best effort), then drop it.
         // Devices it registered keep running headless until they retire.
-        client->conn->send(MsgType::kError,
-                           encode_error(ErrorMsg{0, e.what()}));
+        client->conn->send(MsgType::kError, encode(ErrorMsg{0, e.what()}));
         client->conn->mark_dead();
       }
     }

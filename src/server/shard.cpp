@@ -25,46 +25,6 @@ std::uint64_t steady_now_ns() {
           .count());
 }
 
-std::string wal_register_payload(std::uint64_t id,
-                                 const std::string& scenario_text) {
-  persist::StateWriter out;
-  out.tag("SWRG");
-  out.u64(id);
-  out.str(scenario_text);
-  return out.take_buffer();
-}
-
-std::string wal_retired_payload(const RetireMsg& m) {
-  persist::StateWriter out;
-  out.tag("SWRT");
-  out.u64(m.device_id);
-  out.u64(m.digest);
-  out.u64(m.ticks);
-  out.u64(m.actions);
-  out.u64(m.action_digest);
-  return out.take_buffer();
-}
-
-RetireMsg wal_decode_retired(std::string_view payload) {
-  persist::StateReader in(payload);
-  in.expect_tag("SWRT");
-  RetireMsg m;
-  m.device_id = in.u64();
-  m.digest = in.u64();
-  m.ticks = in.u64();
-  m.actions = in.u64();
-  m.action_digest = in.u64();
-  in.require_done();
-  return m;
-}
-
-std::string wal_deregister_payload(std::uint64_t id) {
-  persist::StateWriter out;
-  out.tag("SWDG");
-  out.u64(id);
-  return out.take_buffer();
-}
-
 }  // namespace
 
 /// One simulated board: its materialized scenario (owning the platform and
@@ -155,7 +115,7 @@ void Shard::attach_device(Device& device) {
     ++dev->action_seq;
     if (dev->conn != nullptr && !dev->conn->dead()) {
       m.sent_ns = steady_now_ns();
-      outbox_.queue(dev->conn, MsgType::kAction, encode_action(m));
+      outbox_.queue(dev->conn, MsgType::kAction, encode(m));
     }
     actions_sent_.fetch_add(1, std::memory_order_relaxed);
   };
@@ -165,7 +125,7 @@ void Shard::attach_device(Device& device) {
 void Shard::handle_register(PendingRegister&& req) {
   const std::uint64_t id = req.msg.device_id;
   const auto reply_error = [&](const std::string& why) {
-    outbox_.queue(req.conn, MsgType::kError, encode_error(ErrorMsg{id, why}));
+    outbox_.queue(req.conn, MsgType::kError, encode(ErrorMsg{id, why}));
   };
   if (devices_.count(id) != 0) {
     reply_error("device " + std::to_string(id) + " is already registered");
@@ -184,15 +144,14 @@ void Shard::handle_register(PendingRegister&& req) {
   // queued ack is written, so an acked device can never vanish across a
   // crash.
   if (wal_) {
-    wal_->append(kShardWalRegister,
-                 wal_register_payload(id, device->scenario_text));
+    wal_->append(kShardWalRegister, encode(req.msg, kShardWalRegisterTag));
   }
   attach_device(*device);
   devices_.emplace(id, std::move(device));
   registered_.fetch_add(1, std::memory_order_relaxed);
   live_.fetch_add(1, std::memory_order_relaxed);
   outbox_.queue(req.conn, MsgType::kRegisterAck,
-                encode_register_ack(RegisterAckMsg{id, config_.index}));
+                encode(RegisterAckMsg{id, config_.index}));
 }
 
 void Shard::accumulate_violations(Device& device) {
@@ -207,7 +166,8 @@ void Shard::handle_deregister(std::uint64_t device_id) {
   if (it == devices_.end()) return;  // unknown/finished: nothing to undo
   Device& device = *it->second;
   if (wal_) {
-    wal_->append(kShardWalDeregister, wal_deregister_payload(device_id));
+    wal_->append(kShardWalDeregister,
+                 encode(DeregisterMsg{device_id}, kShardWalDeregisterTag));
   }
   engine_.detach_lane(device.lane);
   ++retired_since_compact_;
@@ -232,13 +192,13 @@ std::size_t Shard::finish_retirements() {
   // client never sees its frame. One fsync covers the whole tick.
   if (wal_ && !done.empty()) {
     for (const RetireMsg& m : done) {
-      wal_->append(kShardWalRetired, wal_retired_payload(m));
+      wal_->append(kShardWalRetired, encode(m, kShardWalRetiredTag));
     }
     wal_->sync();
   }
   for (const RetireMsg& m : done) {
     const auto it = devices_.find(m.device_id);
-    outbox_.queue(it->second->conn, MsgType::kRetire, encode_retire(m));
+    outbox_.queue(it->second->conn, MsgType::kRetire, encode(m));
     accumulate_violations(*it->second);
     devices_.erase(it);
     ++retired_since_compact_;
@@ -310,35 +270,65 @@ std::string Shard::checkpoint_path() const {
          ".ckpt";
 }
 
-std::string Shard::encode_shard_checkpoint() {
-  persist::StateWriter out;
-  out.tag("SSHD");
-  out.str(config_.meta);
-  out.u64(fleet_ticks_.load(std::memory_order_relaxed));
+template <typename Io, typename Devices>
+void Shard::checkpoint_fields(Io& io,
+                              persist::Ref<Io, std::uint64_t> fleet_ticks,
+                              persist::Ref<Io, std::uint64_t> watermark,
+                              Devices& devices) {
+  io.tag("SSHD");
+  std::string meta = config_.meta;
+  io.str(meta);
+  if constexpr (Io::kReading) {
+    TOPIL_REQUIRE(meta == config_.meta,
+                  "shard checkpoint was written under a different server "
+                  "configuration (recorded '" +
+                      meta + "', expected '" + config_.meta +
+                      "'): " + checkpoint_path());
+  }
+  io.u64(fleet_ticks);
   // WAL watermark: every device below was registered by a WAL record with
   // a smaller seq, which is how restore_from_disk tells it from a later
   // re-registration of the same id.
-  out.u64(wal_ ? wal_->next_seq() : 0);
-  out.u64(devices_.size());
-  for (const auto& [id, device] : devices_) {
-    out.tag("SDEV");
-    out.u64(id);
-    out.str(device->scenario_text);
-    out.u64(device->run->next_arrival());
-    out.u64(device->action_seq);
-    out.u64(device->action_digest.value());
-    out.u64(device->monitor.digest());
-    out.u64(device->monitor.ticks());
-    persist::SnapshotAccess::save(out, device->run->sim());
-    device->governor->save_state(out);
-  }
-  return out.take_buffer();
+  io.u64(watermark);
+  io.seq(devices, [&](auto& entry) {
+    io.tag("SDEV");
+    io.u64(entry.first);
+    std::string text;
+    if constexpr (!Io::kReading) text = entry.second->scenario_text;
+    io.str(text);
+    if constexpr (Io::kReading) entry.second = build_device(entry.first, text);
+    persist::Ref<Io, Device> device = *entry.second;
+    std::size_t next_arrival = device.run->next_arrival();
+    io.u64(next_arrival);
+    if constexpr (Io::kReading) device.run->set_next_arrival(next_arrival);
+    io.u64(device.action_seq);
+    std::uint64_t action_digest = device.action_digest.value();
+    io.u64(action_digest);
+    if constexpr (Io::kReading) {
+      device.action_digest = validate::Fnv64::resume(action_digest);
+    }
+    persist::digest_fields(io, device.monitor);
+    persist::SnapshotAccess::fields(io, device.run->sim());
+    // Re-prime the checker: its energy-balance baseline was captured at
+    // attach time against the freshly-built (ambient) sim, and the
+    // restore above just jumped the thermal state mid-run. Left stale,
+    // the first tick would book the whole jump as a phantom stored-energy
+    // change and poison the cumulative balance for the rest of the run.
+    if constexpr (Io::kReading) {
+      if (validate::InvariantChecker* checker = device.run->checker()) {
+        checker->on_attach(device.run->sim());
+      }
+    }
+    persist::hook_fields(io, *device.governor);
+  });
 }
 
 void Shard::write_checkpoint() {
   if (config_.state_dir.empty()) return;
-  persist::write_checkpoint_file(checkpoint_path(),
-                                 encode_shard_checkpoint());
+  persist::StateWriter out;
+  checkpoint_fields(out, fleet_ticks_.load(std::memory_order_relaxed),
+                    wal_ ? wal_->next_seq() : 0, devices_);
+  persist::write_checkpoint_file(checkpoint_path(), out.buffer());
 }
 
 void Shard::restore_from_disk() {
@@ -358,30 +348,23 @@ void Shard::restore_from_disk() {
   for (const persist::WalRecord& record : recovery.records) {
     switch (record.type) {
       case kShardWalRegister: {
-        persist::StateReader in(record.payload);
-        in.expect_tag("SWRG");
-        const std::uint64_t id = in.u64();
-        std::string text = in.str();
-        in.require_done();
-        live_specs[id] = LiveSpec{std::move(text), record.seq};
-        ever_registered.insert(id);
+        auto m = decode<RegisterMsg>(record.payload, kShardWalRegisterTag);
+        live_specs[m.device_id] =
+            LiveSpec{std::move(m.scenario_text), record.seq};
+        ever_registered.insert(m.device_id);
         registered_.fetch_add(1, std::memory_order_relaxed);
         break;
       }
-      case kShardWalRetired: {
-        const RetireMsg m = wal_decode_retired(record.payload);
-        live_specs.erase(m.device_id);
+      case kShardWalRetired:
+        live_specs.erase(
+            decode<RetireMsg>(record.payload, kShardWalRetiredTag).device_id);
         retired_.fetch_add(1, std::memory_order_relaxed);
         break;
-      }
-      case kShardWalDeregister: {
-        persist::StateReader in(record.payload);
-        in.expect_tag("SWDG");
-        const std::uint64_t id = in.u64();
-        in.require_done();
-        live_specs.erase(id);
+      case kShardWalDeregister:
+        live_specs.erase(
+            decode<DeregisterMsg>(record.payload, kShardWalDeregisterTag)
+                .device_id);
         break;
-      }
       default:
         throw InvalidArgument("unknown shard WAL record type " +
                               std::to_string(record.type) + ": " + wal_path);
@@ -400,49 +383,24 @@ void Shard::restore_from_disk() {
   if (std::filesystem::exists(ckpt)) {
     const std::string payload = persist::read_checkpoint_file(ckpt);
     persist::StateReader in(payload);
-    in.expect_tag("SSHD");
-    const std::string meta = in.str();
-    TOPIL_REQUIRE(meta == config_.meta,
-                  "shard checkpoint was written under a different server "
-                  "configuration (recorded '" +
-                      meta + "', expected '" + config_.meta + "'): " + ckpt);
-    fleet_ticks_.store(in.u64(), std::memory_order_relaxed);
-    const std::uint64_t watermark = in.u64();  // WAL next_seq at write time
-    const std::uint64_t count = in.u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      in.expect_tag("SDEV");
-      const std::uint64_t id = in.u64();
-      const std::string text = in.str();
+    std::uint64_t fleet_ticks = 0;
+    std::uint64_t watermark = 0;  // WAL next_seq at write time
+    std::map<std::uint64_t, std::unique_ptr<Device>> checkpointed;
+    checkpoint_fields(in, fleet_ticks, watermark, checkpointed);
+    in.require_done();
+    fleet_ticks_.store(fleet_ticks, std::memory_order_relaxed);
+    // Continue only the registration the checkpoint captured. A device
+    // that ended after the checkpoint already has its outcome in the WAL;
+    // one registered again since restarts below.
+    for (auto& [id, device] : checkpointed) {
       TOPIL_REQUIRE(ever_registered.count(id) != 0,
                     "shard checkpoint device " + std::to_string(id) +
                         " was never registered in the WAL: " + ckpt);
-      std::unique_ptr<Device> device = build_device(id, text);
-      device->run->set_next_arrival(static_cast<std::size_t>(in.u64()));
-      device->action_seq = in.u64();
-      device->action_digest = validate::Fnv64::resume(in.u64());
-      const std::uint64_t digest_state = in.u64();
-      const std::uint64_t digest_ticks = in.u64();
-      persist::SnapshotAccess::restore(in, device->run->sim());
-      // Re-prime the checker: its energy-balance baseline was captured at
-      // attach time against the freshly-built (ambient) sim, and the
-      // restore above just jumped the thermal state mid-run. Left stale,
-      // the first tick would book the whole jump as a phantom stored-energy
-      // change and poison the cumulative balance for the rest of the run.
-      if (validate::InvariantChecker* checker = device->run->checker()) {
-        checker->on_attach(device->run->sim());
-      }
-      device->governor->restore_state(in);
-      device->monitor.resume_from(digest_state, digest_ticks);
-      // Continue only the registration the checkpoint captured. A device
-      // that ended after the checkpoint already has its outcome in the WAL;
-      // one registered again since restarts below. Its section is parsed
-      // either way: sections are not length-prefixed.
       const auto live_it = live_specs.find(id);
       if (live_it != live_specs.end() && live_it->second.seq < watermark) {
         restored.emplace(id, std::move(device));
       }
     }
-    in.require_done();
   }
 
   for (const auto& [id, spec] : live_specs) {
@@ -470,7 +428,7 @@ std::vector<RetireMsg> read_retired_devices(const std::string& state_dir,
     const persist::WalRecovery recovery = persist::recover_wal(path);
     for (const persist::WalRecord& record : recovery.records) {
       if (record.type != kShardWalRetired) continue;
-      out.push_back(wal_decode_retired(record.payload));
+      out.push_back(decode<RetireMsg>(record.payload, kShardWalRetiredTag));
     }
   }
   std::sort(out.begin(), out.end(),

@@ -17,10 +17,14 @@
 
 namespace topil::server {
 
-/// Shard write-ahead-log record types (shard<k>.wal, persist TOPW format).
-inline constexpr std::uint32_t kShardWalRegister = 1;
-inline constexpr std::uint32_t kShardWalRetired = 2;
-inline constexpr std::uint32_t kShardWalDeregister = 3;
+/// Shard write-ahead-log records (shard<k>.wal, persist TOPW format): each
+/// holds the fields of the message it logs, under its own tag.
+inline constexpr std::uint32_t kShardWalRegister = 1;    ///< RegisterMsg
+inline constexpr std::uint32_t kShardWalRetired = 2;     ///< RetireMsg
+inline constexpr std::uint32_t kShardWalDeregister = 3;  ///< DeregisterMsg
+inline constexpr char kShardWalRegisterTag[] = "SWRG";
+inline constexpr char kShardWalRetiredTag[] = "SWRT";
+inline constexpr char kShardWalDeregisterTag[] = "SWDG";
 
 /// One shard of the governor service: a single-threaded fleet of device
 /// simulators stepped in lockstep by a FleetEngine, with every device's
@@ -113,7 +117,12 @@ class Shard {
   std::size_t finish_retirements();
   void accumulate_violations(Device& device);
   std::string checkpoint_path() const;
-  std::string encode_shard_checkpoint();
+  /// The shard checkpoint: its fleet tick, the WAL watermark and every
+  /// live device. A reader builds each device from its scenario text.
+  template <typename Io, typename Devices>
+  void checkpoint_fields(Io& io, persist::Ref<Io, std::uint64_t> fleet_ticks,
+                         persist::Ref<Io, std::uint64_t> watermark,
+                         Devices& devices);
   void restore_from_disk();
 
   Config config_;

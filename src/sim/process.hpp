@@ -42,6 +42,8 @@ class Process {
  public:
   Process(Pid pid, const AppSpec& app, double qos_target_ips,
           CoreId core, double arrival_time);
+  /// A blank process, for a snapshot restore to fill.
+  Process() = default;
 
   Pid pid() const { return pid_; }
   const AppSpec& app() const { return app_; }
@@ -103,13 +105,13 @@ class Process {
  private:
   friend struct persist::SnapshotAccess;  ///< checkpoint/restore
 
-  Pid pid_;
+  Pid pid_ = kNoPid;
   // Owned copy: spawn() callers may pass temporaries, and a process must
   // outlive whatever constructed its spec.
   AppSpec app_;
-  double qos_target_ips_;
-  CoreId core_;
-  double arrival_time_;
+  double qos_target_ips_ = 0.0;
+  CoreId core_ = 0;
+  double arrival_time_ = 0.0;
 
   std::size_t phase_index_ = 0;
   double phase_insts_done_ = 0.0;

@@ -30,10 +30,10 @@ TEST(Snapshot, RngRoundTripContinuesIdentically) {
     original.engine().set_state(state);
 
     StateWriter out;
-    save_rng(out, original);
+    SnapshotAccess::fields(out, original);
     Rng restored(7);  // different seed: state must come from the snapshot
     StateReader in(out.buffer());
-    restore_rng(in, restored);
+    SnapshotAccess::fields(in, restored);
     in.require_done();
     for (int i = 0; i < 1000; ++i) {
       ASSERT_EQ(original.uniform(0.0, 1.0), restored.uniform(0.0, 1.0))
@@ -49,41 +49,43 @@ TEST(Snapshot, RngStateIsWordsAndPosition) {
   Rng rng(42);
   for (int i = 0; i < 100; ++i) rng.engine()();
   StateWriter out;
-  save_rng(out, rng);
+  SnapshotAccess::fields(out, rng);
   ASSERT_EQ(out.buffer().size(), kRngBytes);
   const Mt19937_64::State& state = rng.engine().state();
   EXPECT_EQ(std::memcmp(out.buffer().data(), state.words.data(),
                         sizeof(state.words)),
             0);
   StateReader in(std::string_view(out.buffer()).substr(sizeof(state.words)));
-  EXPECT_EQ(in.u64(), 100u);
+  std::uint64_t position = 0;
+  in.u64(position);
+  EXPECT_EQ(position, 100u);
 }
 
 TEST(Snapshot, TruncatedRngStateThrowsAtEveryLength) {
   StateWriter out;
-  save_rng(out, Rng(3));
+  SnapshotAccess::fields(out, Rng(3));
   for (std::size_t len = 0; len < kRngBytes; ++len) {
     Rng rng(1);
     StateReader in(std::string_view(out.buffer()).substr(0, len));
-    EXPECT_THROW(restore_rng(in, rng), Error) << len;
+    EXPECT_THROW(SnapshotAccess::fields(in, rng), Error) << len;
   }
 }
 
 TEST(Snapshot, CorruptRngStateThrows) {
   StateWriter past_end;
   const std::vector<std::uint64_t> words(Mt19937_64::kStateWords, 1u);
-  past_end.raw(words.data(), words.size() * 8);
+  past_end.array(words.data(), words.size());
   past_end.u64(313);
   Rng rng(1);
   StateReader in_past_end(past_end.buffer());
-  EXPECT_THROW(restore_rng(in_past_end, rng), Error);
+  EXPECT_THROW(SnapshotAccess::fields(in_past_end, rng), Error);
 
   StateWriter all_zero;
   const std::vector<std::uint64_t> zeros(Mt19937_64::kStateWords, 0u);
-  all_zero.raw(zeros.data(), zeros.size() * 8);
+  all_zero.array(zeros.data(), zeros.size());
   all_zero.u64(0);
   StateReader in_all_zero(all_zero.buffer());
-  EXPECT_THROW(restore_rng(in_all_zero, rng), Error);
+  EXPECT_THROW(SnapshotAccess::fields(in_all_zero, rng), Error);
 
   // Neither rejected state was taken.
   Rng fresh(1);
@@ -96,9 +98,10 @@ TEST(Snapshot, MatrixRoundTrip) {
     m.data()[i] = static_cast<float>(i) * 0.25f;
   }
   StateWriter out;
-  save_matrix(out, m);
+  SnapshotAccess::fields(out, m);
   StateReader in(out.buffer());
-  const nn::Matrix back = restore_matrix(in);
+  nn::Matrix back;
+  SnapshotAccess::fields(in, back);
   in.require_done();
   ASSERT_EQ(back.rows(), 3u);
   ASSERT_EQ(back.cols(), 4u);
@@ -114,17 +117,18 @@ TEST(Snapshot, ImplausibleMatrixDimsThrow) {
   out.u64(1ull << 32);
   out.u64(1ull << 32);
   StateReader in(out.buffer());
-  EXPECT_THROW(restore_matrix(in), Error);
+  nn::Matrix m;
+  EXPECT_THROW(SnapshotAccess::fields(in, m), Error);
 }
 
 TEST(Snapshot, RunningStatsRoundTrip) {
   RunningStats stats;
   for (double x : {1.0, 2.5, -3.0, 7.25}) stats.add(x);
   StateWriter out;
-  SnapshotAccess::save(out, stats);
+  SnapshotAccess::fields(out, stats);
   RunningStats back;
   StateReader in(out.buffer());
-  SnapshotAccess::restore(in, back);
+  SnapshotAccess::fields(in, back);
   in.require_done();
   EXPECT_EQ(back.count(), stats.count());
   EXPECT_EQ(back.mean(), stats.mean());
@@ -139,9 +143,10 @@ TEST(Snapshot, RunningStatsRoundTrip) {
 TEST(Snapshot, AppSpecRoundTrip) {
   const AppSpec& app = AppDatabase::instance().by_name("swaptions");
   StateWriter out;
-  save_app_spec(out, app);
+  SnapshotAccess::fields(out, app);
   StateReader in(out.buffer());
-  const AppSpec back = restore_app_spec(in);
+  AppSpec back;
+  SnapshotAccess::fields(in, back);
   in.require_done();
   EXPECT_EQ(back.name, app.name);
   EXPECT_EQ(back.used_for_training, app.used_for_training);
@@ -182,13 +187,13 @@ class SimRestoreTest : public ::testing::Test {
 
   static std::string snapshot(const SystemSim& sim) {
     StateWriter out;
-    SnapshotAccess::save(out, sim);
+    SnapshotAccess::fields(out, sim);
     return out.take_buffer();
   }
 
   static void restore(const std::string& bytes, SystemSim& sim) {
     StateReader in(bytes);
-    SnapshotAccess::restore(in, sim);
+    SnapshotAccess::fields(in, sim);
     in.require_done();
   }
 
@@ -245,7 +250,7 @@ ProcessRecordLayout locate_process_record(const std::string& bytes,
   record.tag("PRC ");
   record.u64(1);
   record.u64(proc.pid());
-  save_app_spec(record, app);
+  SnapshotAccess::fields(record, app);
   record.f64(proc.qos_target_ips());
   record.u64(proc.core());
   record.f64(proc.arrival_time());
@@ -322,6 +327,23 @@ TEST_F(SimRestoreTest, RejectsFinishedProcess) {
   ASSERT_EQ(bytes[at.finished_at], 0);
   bytes[at.finished_at] = 1;
   expect_restore_rejected(bytes, "finished process");
+}
+
+// Times 8, a completed-process count of 2^61 + 1 wraps to 8: a bound by
+// multiplication would let it through to size the record vector.
+TEST_F(SimRestoreTest, RejectsCompletedCountThatWrapsWhenMultiplied) {
+  const std::unique_ptr<SystemSim> sim = running_sim({"swaptions"}, {4}, 5);
+  std::string bytes = snapshot(*sim);
+  // The metrics section: tag, time-weighted temperature average (two
+  // bools, four f64), peak temperature, its flag, the cluster count and
+  // every cluster's per-level CPU times, then the completed count.
+  std::size_t at = bytes.find("MET ") + 4 + (2 + 4 * 8) + 8 + 1 + 8;
+  for (ClusterId c = 0; c < platform_.num_clusters(); ++c) {
+    at += 8 + 8 * platform_.cluster(c).vf.num_levels();
+  }
+  ASSERT_EQ(read_u64(bytes, at), 0u);
+  write_u64(bytes, at, (std::uint64_t{1} << 61) + 1);
+  expect_restore_rejected(bytes, "implausible");
 }
 
 }  // namespace

@@ -38,7 +38,7 @@ ActionMsg sample_action_msg() {
 }
 
 std::string sample_frame() {
-  return encode_frame(MsgType::kAction, encode_action(sample_action_msg()));
+  return encode_frame(MsgType::kAction, encode(sample_action_msg()));
 }
 
 /// Feed `bytes` to a fresh reader; returns the decoded frames, or nullopt
@@ -57,17 +57,17 @@ std::optional<std::vector<Frame>> decode_all(const std::string& bytes) {
 
 TEST(Protocol, RoundTripsEveryMessageType) {
   const RegisterMsg reg{42, "scenario text\nwith lines\n"};
-  const RegisterMsg reg2 = decode_register(encode_register(reg));
+  const RegisterMsg reg2 = decode<RegisterMsg>(encode(reg));
   EXPECT_EQ(reg2.device_id, 42u);
   EXPECT_EQ(reg2.scenario_text, reg.scenario_text);
 
   const RegisterAckMsg ack2 =
-      decode_register_ack(encode_register_ack({42, 3}));
+      decode<RegisterAckMsg>(encode(RegisterAckMsg{42, 3}));
   EXPECT_EQ(ack2.device_id, 42u);
   EXPECT_EQ(ack2.shard, 3u);
 
   const ActionMsg a = sample_action_msg();
-  const ActionMsg a2 = decode_action(encode_action(a));
+  const ActionMsg a2 = decode<ActionMsg>(encode(a));
   EXPECT_EQ(a2.device_id, a.device_id);
   EXPECT_EQ(a2.seq, a.seq);
   EXPECT_EQ(a2.tick, a.tick);
@@ -78,22 +78,24 @@ TEST(Protocol, RoundTripsEveryMessageType) {
   EXPECT_EQ(a2.placements[1].pid, a.placements[1].pid);
   EXPECT_EQ(a2.placements[1].core, a.placements[1].core);
 
-  const RetireMsg r2 = decode_retire(encode_retire({9, 111, 222, 333, 444}));
+  const RetireMsg r2 =
+      decode<RetireMsg>(encode(RetireMsg{9, 111, 222, 333, 444}));
   EXPECT_EQ(r2.device_id, 9u);
   EXPECT_EQ(r2.digest, 111u);
   EXPECT_EQ(r2.action_digest, 444u);
 
-  EXPECT_EQ(decode_deregister(encode_deregister({5})).device_id, 5u);
-  decode_stats_request(encode_stats_request());  // no payload, must not throw
+  EXPECT_EQ(decode<DeregisterMsg>(encode(DeregisterMsg{5})).device_id, 5u);
+  // No payload, must not throw.
+  decode<StatsRequestMsg>(encode(StatsRequestMsg{}));
 
   StatsReplyMsg s;
   s.devices_registered = 10;
   s.invariant_violations = 2;
-  const StatsReplyMsg s2 = decode_stats_reply(encode_stats_reply(s));
+  const StatsReplyMsg s2 = decode<StatsReplyMsg>(encode(s));
   EXPECT_EQ(s2.devices_registered, 10u);
   EXPECT_EQ(s2.invariant_violations, 2u);
 
-  const ErrorMsg e2 = decode_error(encode_error({1, "went wrong"}));
+  const ErrorMsg e2 = decode<ErrorMsg>(encode(ErrorMsg{1, "went wrong"}));
   EXPECT_EQ(e2.device_id, 1u);
   EXPECT_EQ(e2.message, "went wrong");
 }
@@ -103,7 +105,7 @@ TEST(Protocol, PristineFrameDecodes) {
   ASSERT_TRUE(frames.has_value());
   ASSERT_EQ(frames->size(), 1u);
   EXPECT_EQ((*frames)[0].type, MsgType::kAction);
-  const ActionMsg m = decode_action((*frames)[0].payload);
+  const ActionMsg m = decode<ActionMsg>((*frames)[0].payload);
   EXPECT_EQ(m.device_id, 7u);
 }
 
@@ -172,7 +174,7 @@ TEST(ProtocolFuzz, TrailingGarbageAfterValidFrameDoesNotCorruptIt) {
 TEST(ProtocolFuzz, InterleavedPartialFramesDecodeExactlyAtCompletion) {
   const std::string f1 = sample_frame();
   const std::string f2 =
-      encode_frame(MsgType::kRetire, encode_retire({1, 2, 3, 4, 5}));
+      encode_frame(MsgType::kRetire, encode(RetireMsg{1, 2, 3, 4, 5}));
   const std::string both = f1 + f2;
 
   FrameReader reader;
@@ -188,7 +190,7 @@ TEST(ProtocolFuzz, InterleavedPartialFramesDecodeExactlyAtCompletion) {
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0].type, MsgType::kAction);
   EXPECT_EQ(frames[1].type, MsgType::kRetire);
-  EXPECT_EQ(decode_retire(frames[1].payload).action_digest, 5u);
+  EXPECT_EQ(decode<RetireMsg>(frames[1].payload).action_digest, 5u);
   EXPECT_EQ(reader.buffered(), 0u);
 }
 
@@ -206,33 +208,33 @@ void sweep_payload(const std::string& payload, const DecodeFn& decode) {
 }
 
 TEST(ProtocolFuzz, MessageCodecsRejectTruncationAndTrailingGarbage) {
-  sweep_payload(encode_register({42, "spec"}),
-                [](std::string_view p) { decode_register(p); });
-  sweep_payload(encode_register_ack({42, 3}),
-                [](std::string_view p) { decode_register_ack(p); });
-  sweep_payload(encode_action(sample_action_msg()),
-                [](std::string_view p) { decode_action(p); });
-  sweep_payload(encode_retire({9, 1, 2, 3, 4}),
-                [](std::string_view p) { decode_retire(p); });
-  sweep_payload(encode_deregister({5}),
-                [](std::string_view p) { decode_deregister(p); });
-  sweep_payload(encode_stats_reply({}),
-                [](std::string_view p) { decode_stats_reply(p); });
-  sweep_payload(encode_error({1, "m"}),
-                [](std::string_view p) { decode_error(p); });
+  sweep_payload(encode(RegisterMsg{42, "spec"}),
+                [](std::string_view p) { decode<RegisterMsg>(p); });
+  sweep_payload(encode(RegisterAckMsg{42, 3}),
+                [](std::string_view p) { decode<RegisterAckMsg>(p); });
+  sweep_payload(encode(sample_action_msg()),
+                [](std::string_view p) { decode<ActionMsg>(p); });
+  sweep_payload(encode(RetireMsg{9, 1, 2, 3, 4}),
+                [](std::string_view p) { decode<RetireMsg>(p); });
+  sweep_payload(encode(DeregisterMsg{5}),
+                [](std::string_view p) { decode<DeregisterMsg>(p); });
+  sweep_payload(encode(StatsReplyMsg{}),
+                [](std::string_view p) { decode<StatsReplyMsg>(p); });
+  sweep_payload(encode(ErrorMsg{1, "m"}),
+                [](std::string_view p) { decode<ErrorMsg>(p); });
 }
 
 TEST(ProtocolFuzz, ActionCountsAreBoundedByPayloadSize) {
   // A corrupt vf_levels/placements count must be rejected against the
   // bytes actually remaining, never honored with a giant allocation.
   ActionMsg m = sample_action_msg();
-  std::string payload = encode_action(m);
+  std::string payload = encode(m);
   // vf_levels count is a u64 right after tag + 4 u64 + 1 f64; stomp it.
   const std::size_t count_offset = 4 + 8 * 4 + 8;
   ASSERT_LT(count_offset + 8, payload.size());
   const std::uint64_t huge = 1ull << 40;
   std::memcpy(payload.data() + count_offset, &huge, sizeof(huge));
-  EXPECT_THROW(decode_action(payload), Error);
+  EXPECT_THROW(decode<ActionMsg>(payload), Error);
 }
 
 TEST(Protocol, FoldActionIgnoresSentNsOnly) {

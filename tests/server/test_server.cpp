@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "persist/state_codec.hpp"
 #include "persist/wal.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
@@ -56,9 +55,8 @@ std::multiset<std::uint64_t> wal_registered_ids(const std::string& wal_path) {
   for (const persist::WalRecord& record :
        persist::recover_wal(wal_path).records) {
     if (record.type != kShardWalRegister) continue;
-    persist::StateReader in(record.payload);
-    in.expect_tag("SWRG");
-    ids.insert(in.u64());
+    ids.insert(
+        decode<RegisterMsg>(record.payload, kShardWalRegisterTag).device_id);
   }
   return ids;
 }
@@ -126,11 +124,11 @@ class WalCheckingStream final : public ByteStream {
       ClientEvent& ev = batch.emplace_back();
       ev.type = frame->type;
       if (ev.type == MsgType::kRegisterAck) {
-        ev.ack = decode_register_ack(frame->payload);
+        ev.ack = decode<RegisterAckMsg>(frame->payload);
       } else if (ev.type == MsgType::kAction) {
-        ev.action = decode_action(frame->payload);
+        ev.action = decode<ActionMsg>(frame->payload);
       } else if (ev.type == MsgType::kRetire) {
-        ev.retire = decode_retire(frame->payload);
+        ev.retire = decode<RetireMsg>(frame->payload);
       }
     }
     EXPECT_EQ(reader_.buffered(), 0u) << "a write ended mid-frame";

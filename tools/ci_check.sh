@@ -189,9 +189,7 @@ if [[ "${RECOVERY:-1}" != "0" ]]; then
   # Kill a checkpointed run and a journaled fuzz campaign mid-flight with
   # SIGKILL (no cleanup handlers run, exactly like a crash or OOM kill),
   # resume each from its on-disk state, and require the final digest to be
-  # bit-identical to an uninterrupted golden run. The kill races the run on
-  # purpose: whether it lands before the first checkpoint, mid-run, or
-  # after completion, the resumed digest must come out the same.
+  # bit-identical to an uninterrupted golden run.
   # (The corruption-injection suite — tests/persist — already ran under
   # both the plain and the ASan+UBSan ctest stages above.)
   rec_tmp="${build_dir}/recovery-gate"
@@ -204,12 +202,40 @@ if [[ "${RECOVERY:-1}" != "0" ]]; then
   "${run}" "${run_args[@]}" --checkpoint "${rec_tmp}/golden.ckpt" \
     --checkpoint-every 5 --digest-out "${rec_tmp}/digest-golden"
 
-  "${run}" "${run_args[@]}" --checkpoint "${rec_tmp}/killed.ckpt" \
-    --checkpoint-every 5 >/dev/null 2>&1 &
-  victim=$!
-  sleep 1
-  kill -9 "${victim}" 2>/dev/null || true
-  wait "${victim}" 2>/dev/null || true
+  # The victim is killed halfway through its run: a Python runner reads
+  # the tick count of every checkpoint it writes and kills it once the
+  # count reaches 91,925 of the run's 183,849 ticks, so the resume
+  # continues a mid-run state. It fails if the victim ends first. (The
+  # run takes under a second here, so a fixed `sleep 1` killed a finished
+  # run and the resume only replayed its last checkpoint.)
+  python3 - "${rec_tmp}/killed.ckpt" 91925 "${run}" "${run_args[@]}" \
+    --checkpoint "${rec_tmp}/killed.ckpt" --checkpoint-every 5 <<'EOF'
+import struct, subprocess, sys, time
+path, tick, cmd = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+victim = subprocess.Popen(cmd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+reached = False
+deadline = time.monotonic() + 120
+while not reached and victim.poll() is None and time.monotonic() < deadline:
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        # TOPC header (20 B), "CKPT", the meta string and the governor
+        # name (u64 length, bytes), then u64 arrival cursor, digest, ticks.
+        at = 24
+        for _ in range(2):
+            at += 8 + struct.unpack_from("<Q", data, at)[0]
+        reached = struct.unpack_from("<Q", data, at + 16)[0] >= tick
+    except (OSError, struct.error):
+        pass
+    if not reached:
+        time.sleep(0.0002)
+victim.kill()
+victim.wait()
+if not reached:
+    sys.exit("crash-recovery gate FAILED: topil_run ended before a "
+             f"checkpoint reached tick {tick}")
+EOF
   "${run}" "${run_args[@]}" --checkpoint "${rec_tmp}/killed.ckpt" \
     --checkpoint-every 5 --resume --digest-out "${rec_tmp}/digest-resumed"
   if ! diff "${rec_tmp}/digest-golden" "${rec_tmp}/digest-resumed"; then
